@@ -1289,11 +1289,20 @@ let check_range t p n =
   p
 
 (** Is [addr, addr+len) fully inside some allocated heap object?  The VM
-    uses this to detect access to swept (prematurely collected) objects. *)
+    uses this to detect access to swept (prematurely collected) objects,
+    on every load and store, so it is {!extent_of} without the
+    allocation: a page-map lookup and slot arithmetic. *)
 let valid_access t addr len =
-  match extent_of t addr with
-  | Some (base, size) -> addr + len <= base + size
+  match Page_map.find t.map addr with
   | None -> false
+  | Some blk ->
+      let off = addr - blk.Block.blk_start in
+      off >= 0
+      &&
+      let i = off / blk.Block.blk_obj_size in
+      i < blk.Block.blk_count
+      && Block.is_allocated blk i
+      && addr + len <= Block.slot_addr blk i + blk.Block.blk_obj_size
 
 (* ------------------------------------------------------------------ *)
 (* Heap-integrity sanitizer                                            *)

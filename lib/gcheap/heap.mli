@@ -316,7 +316,9 @@ val check_range : t -> int -> int -> int
 
 val valid_access : t -> int -> int -> bool
 (** Is [addr, addr+len)] fully inside some allocated heap object?  Used by
-    the VM to detect access to prematurely collected storage. *)
+    the VM on every load and store to detect access to prematurely
+    collected storage, so it allocates nothing: a page-map lookup and
+    slot arithmetic. *)
 
 type violation = {
   v_rule : string;  (** which invariant family failed *)

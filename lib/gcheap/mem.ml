@@ -48,33 +48,21 @@ exception Fault of int  (** out-of-arena access *)
 
 let check t addr len = if not (in_bounds t addr len) then raise (Fault addr)
 
-let sign_extend v bits =
-  let shift = Sys.int_size - bits in
-  (v lsl shift) asr shift
-
 let load t ~width addr =
   check t addr width;
-  let b i = Char.code (Bytes.get t.data (addr + i)) in
   match width with
-  | 1 -> sign_extend (b 0) 8
-  | 2 -> sign_extend (b 0 lor (b 1 lsl 8)) 16
-  | 4 -> sign_extend (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)) 32
+  | 1 -> Bytes.get_int8 t.data addr
+  | 2 -> Bytes.get_int16_le t.data addr
+  | 4 -> Int32.to_int (Bytes.get_int32_le t.data addr)
   | 8 -> Int64.to_int (Bytes.get_int64_le t.data addr)
   | w -> invalid_arg (Printf.sprintf "Mem.load: width %d" w)
 
 let store t ~width addr v =
   check t addr width;
-  let b i x = Bytes.set t.data (addr + i) (Char.chr (x land 0xff)) in
   match width with
-  | 1 -> b 0 v
-  | 2 ->
-      b 0 v;
-      b 1 (v asr 8)
-  | 4 ->
-      b 0 v;
-      b 1 (v asr 8);
-      b 2 (v asr 16);
-      b 3 (v asr 24)
+  | 1 -> Bytes.set_int8 t.data addr v
+  | 2 -> Bytes.set_int16_le t.data addr v
+  | 4 -> Bytes.set_int32_le t.data addr (Int32.of_int v)
   | 8 -> Bytes.set_int64_le t.data addr (Int64.of_int v)
   | w -> invalid_arg (Printf.sprintf "Mem.store: width %d" w)
 

@@ -55,9 +55,13 @@ let clear_block t (blk : Block.t) =
 let find t addr =
   if addr < 0 then None
   else
-    let hi, lo = split (addr lsr Mem.page_bits) in
+    let page = addr lsr Mem.page_bits in
+    let hi = page lsr level2_bits in
     if hi >= Array.length t.top then None
-    else match t.top.(hi) with None -> None | Some l2 -> l2.(lo)
+    else
+      match t.top.(hi) with
+      | None -> None
+      | Some l2 -> l2.(page land (level2_size - 1))
 
 (** Iterate over every registered block exactly once. *)
 let iter_blocks t f =

@@ -129,64 +129,9 @@ let default_config ?(machine = Machdesc.sparc10) () =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Alloc-call instructions are keyed by physical identity: the program
-   structure is static during a run, and structurally equal calls at
-   different sites must stay distinct. *)
-module Instrtbl = Hashtbl.Make (struct
-  type t = instr
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let alloc_builtin = function
-  | "malloc" | "GC_malloc" | "GC_malloc_atomic" | "calloc" | "realloc" -> true
-  | _ -> false
-
-(* Site ids are [fn:callee#k] with [k] the ordinal of the call among
-   same-callee alloc calls of the function, counted in static
-   block-label order.  Annotation passes insert or remove [KeepLive]
-   markers but never alloc calls, so ids join across
-   [--analysis none|flow] builds of one program. *)
-let site_table (p : program) =
-  let tab = Instrtbl.create 64 in
-  List.iter
-    (fun (f : func) ->
-      let ord = Hashtbl.create 8 in
-      let blocks =
-        List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks
-      in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun i ->
-              match i with
-              | Call (_, callee, _) when alloc_builtin callee ->
-                  let k =
-                    Option.value ~default:0 (Hashtbl.find_opt ord callee)
-                  in
-                  Hashtbl.replace ord callee (k + 1);
-                  Instrtbl.replace tab i
-                    (Printf.sprintf "%s:%s#%d" f.fn_name callee k)
-              | _ -> ())
-            b.b_instrs)
-        blocks)
-    p.p_funcs;
-  tab
-
 let dispatch_class_names =
   [| "mov"; "alu"; "rel"; "load"; "store"; "push"; "call"; "keep_live";
      "branch" |]
-
-let class_of_instr = function
-  | Mov _ | Opaque _ -> 0
-  | Bin _ -> 1
-  | Rel _ -> 2
-  | Load _ -> 3
-  | Store _ -> 4
-  | Push _ -> 5
-  | Call _ -> 6
-  | KeepLive _ -> 7
 
 type tele = {
   tl_on : bool;
@@ -194,7 +139,9 @@ type tele = {
   tl_prof : Telemetry.Heap_profiler.t option;
   tl_rec : Telemetry.Flight_recorder.t option;
   tl_steps : Telemetry.Metrics.counter;
-  tl_dispatch : Telemetry.Metrics.counter array;  (** by {!class_of_instr} *)
+  tl_dispatch : Telemetry.Metrics.counter array;
+      (** by dispatch class; both are flushed once per run from the
+          VM's plain-int counts *)
   tl_gc : Telemetry.Metrics.counter;
   tl_gc_minor : Telemetry.Metrics.counter;
   tl_gc_emergency : Telemetry.Metrics.counter;
@@ -226,11 +173,9 @@ type tele = {
   tl_alloc_bytes : Telemetry.Metrics.histogram;
   tl_faults : Telemetry.Metrics.counter;
   tl_traps : Telemetry.Metrics.counter;
-  tl_sites : string Instrtbl.t;
-  mutable tl_cur_site : string;
 }
 
-let make_tele sink p =
+let make_tele sink =
   let m = Telemetry.Sink.metrics sink in
   let m = Telemetry.Metrics.scope m "vm" in
   let trace = match sink with Some s -> s.Telemetry.Sink.trace | None -> None in
@@ -270,24 +215,186 @@ let make_tele sink p =
     tl_alloc_bytes = Telemetry.Metrics.histogram m "alloc/bytes";
     tl_faults = Telemetry.Metrics.counter m "faults";
     tl_traps = Telemetry.Metrics.counter m "traps";
-    tl_sites = (match prof with Some _ -> site_table p | None -> Instrtbl.create 1);
-    tl_cur_site = "?";
   }
 
+(* ------------------------------------------------------------------ *)
+(* Lowered code                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Each run lowers every function once into flat arrays: a block's
+   instructions become a [code] array with their cycle costs beside
+   them, branch targets become block indices and calls name their
+   callee by function index.  Stepping is then array indexing — no list
+   walk, no label or name lookup.  Lowering never fails: a branch to a
+   label the function lacks still faults, but only when it is taken. *)
+
+type code =
+  | Move of reg * operand  (** [Mov] and [Opaque] *)
+  | Arith of binop * reg * operand * operand
+  | Compare of relop * reg * operand * operand
+  | Ld of int * reg * operand * operand  (** width in bytes *)
+  | St of int * operand * operand * operand  (** width in bytes *)
+  | Arg of operand  (** [Push] *)
+  | Call_fn of reg option * int * int  (** dst, callee index, nargs *)
+  | Call_builtin of reg option * string * int * string
+      (** dst, name, nargs, and the heap profiler's allocation-site id
+          ([""] unless profiling an allocation call) *)
+  | Keep  (** [KeepLive]: a use for the compiler, nothing at run time *)
+
+(* A branch target: a block index, or [-1 - l] for a label [l] the
+   function has no block for. *)
+type term =
+  | Goto of int
+  | Branch of operand * int * int
+  | Return of operand option
+
+type lblock = {
+  lb_label : label;
+  lb_instrs : instr array;  (** the source instructions, for reporting *)
+  lb_code : code array;
+  lb_cost : int array;  (** cycles per instruction on the run's machine *)
+  lb_term : term;
+}
+
+type lfunc = {
+  lf_name : string;
+  lf_params : reg array;
+  lf_nregs : int;
+  lf_frame : int;  (** frame size rounded to 16 bytes *)
+  lf_blocks : lblock array;  (** entry first *)
+}
+
+let class_of_code = function
+  | Move _ -> 0
+  | Arith _ -> 1
+  | Compare _ -> 2
+  | Ld _ -> 3
+  | St _ -> 4
+  | Arg _ -> 5
+  | Call_fn _ | Call_builtin _ -> 6
+  | Keep -> 7
+
+let branch_class = 8
+
+let instr_cost (m : Machdesc.t) = function
+  | Mov _ | Opaque _ | Push _ -> m.Machdesc.md_cost_mov
+  | Bin (op, d, a, _) ->
+      let base =
+        match op with
+        | Mul -> m.Machdesc.md_cost_mul
+        | Div | Mod -> m.Machdesc.md_cost_div
+        | _ -> m.Machdesc.md_cost_alu
+      in
+      (* two-operand machines need a move when dst <> first source *)
+      if m.Machdesc.md_two_operand && a <> Reg d then
+        base + m.Machdesc.md_cost_mov
+      else base
+  | Rel _ -> m.Machdesc.md_cost_alu + 1
+  | Load _ -> m.Machdesc.md_cost_load
+  | Store _ -> m.Machdesc.md_cost_store
+  | Call _ -> 0 (* overhead charged at dispatch, body separately *)
+  | KeepLive _ -> 0
+
+let alloc_builtin = function
+  | "malloc" | "GC_malloc" | "GC_malloc_atomic" | "calloc" | "realloc" -> true
+  | _ -> false
+
+(* Heap-profiler site ids are [fn:callee#k] with [k] the ordinal of the
+   call among same-callee alloc calls of the function, counted in
+   static block-label order.  Annotation passes insert or remove
+   [KeepLive] markers but never alloc calls, so ids join across
+   [--analysis none|flow] builds of one program.  Returns one site
+   array per block, in [fn_blocks] order. *)
+let alloc_sites (f : func) =
+  let sites =
+    Array.of_list
+      (List.map (fun b -> Array.make (List.length b.b_instrs) "") f.fn_blocks)
+  in
+  let ord = Hashtbl.create 8 in
+  List.mapi (fun k b -> (k, b)) f.fn_blocks
+  |> List.sort (fun (_, a) (_, b) -> compare a.b_label b.b_label)
+  |> List.iter (fun (k, b) ->
+         List.iteri
+           (fun ip i ->
+             match i with
+             | Call (_, callee, _) when alloc_builtin callee ->
+                 let n = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
+                 Hashtbl.replace ord callee (n + 1);
+                 sites.(k).(ip) <- Printf.sprintf "%s:%s#%d" f.fn_name callee n
+             | _ -> ())
+           b.b_instrs);
+  sites
+
+(* Lower every function of [p]; returns the functions and the name ->
+   index table calls were resolved with.  A later function shadows an
+   earlier one of the same name, and any function shadows a builtin. *)
+let lower ~(machine : Machdesc.t) ~profiling (p : program) =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun k f -> Hashtbl.replace index f.fn_name k) p.p_funcs;
+  let lower_func (f : func) =
+    let labels = Hashtbl.create 8 in
+    List.iteri (fun k b -> Hashtbl.replace labels b.b_label k) f.fn_blocks;
+    let target l =
+      match Hashtbl.find_opt labels l with Some k -> k | None -> -1 - l
+    in
+    let sites = if profiling then Some (alloc_sites f) else None in
+    let lower_block k (b : block) =
+      let instrs = Array.of_list b.b_instrs in
+      let lower_instr ip = function
+        | Mov (d, s) | Opaque (d, s) -> Move (d, s)
+        | Bin (op, d, a, b) -> Arith (op, d, a, b)
+        | Rel (op, d, a, b) -> Compare (op, d, a, b)
+        | Load (w, d, a, b) -> Ld (bytes_of_width w, d, a, b)
+        | Store (w, v, a, b) -> St (bytes_of_width w, v, a, b)
+        | Push v -> Arg v
+        | KeepLive _ -> Keep
+        | Call (dst, name, n) -> (
+            match Hashtbl.find_opt index name with
+            | Some callee -> Call_fn (dst, callee, n)
+            | None ->
+                let site =
+                  match sites with Some s -> s.(k).(ip) | None -> ""
+                in
+                Call_builtin (dst, name, n, site))
+      in
+      {
+        lb_label = b.b_label;
+        lb_instrs = instrs;
+        lb_code = Array.mapi lower_instr instrs;
+        lb_cost = Array.map (instr_cost machine) instrs;
+        lb_term =
+          (match b.b_term with
+          | Jmp l -> Goto (target l)
+          | Br (c, l1, l2) -> Branch (c, target l1, target l2)
+          | Ret v -> Return v);
+      }
+    in
+    {
+      lf_name = f.fn_name;
+      lf_params = Array.of_list f.fn_params;
+      lf_nregs = max f.fn_nreg 1;
+      lf_frame = (f.fn_frame + 15) / 16 * 16;
+      lf_blocks = Array.of_list (List.mapi lower_block f.fn_blocks);
+    }
+  in
+  (Array.of_list (List.map lower_func p.p_funcs), index)
+
 type frame = {
-  fr_func : func;
+  fr_func : lfunc;
   fr_regs : int array;
   fr_base : int;  (** frame base address in the VM stack region *)
-  fr_blocks : (label, block) Hashtbl.t;
-  mutable fr_block : block;
-  mutable fr_pc : instr list;  (** instructions left in the current block *)
+  mutable fr_block : lblock;
+  mutable fr_ip : int;
+      (** next instruction of [fr_block]; its length means the
+          terminator is next *)
   fr_dst : reg option;  (** caller register receiving our result *)
 }
 
 type state = {
   cfg : config;
   heap : Gcheap.Heap.t;
-  funcs : (string, func) Hashtbl.t;
+  code : lfunc array;
+  func_index : (string, int) Hashtbl.t;  (** name -> index into [code] *)
   statics_base : int;
   stack_base : int;
   mutable sp : int;  (** next free offset within the stack region *)
@@ -301,7 +408,8 @@ type state = {
       (** barrier grays already ticked into telemetry (incremental mode:
           the SATB barrier accrues during mutator time, between steps) *)
   mutable rand_state : int;
-  mutable arg_queue : int list;  (** reversed: arguments pushed so far *)
+  mutable args : int array;  (** arguments pushed so far, oldest first *)
+  mutable nargs : int;  (** live prefix of [args] *)
   mutable at_call : bool;  (** the last executed instruction was a call *)
   mutable gc_points : (int * string) list;
       (** injected collections that actually fired: safepoint index and a
@@ -317,6 +425,9 @@ type state = {
       (** heap censuses sampled at collection boundaries when
           [vm_census]; reversed (newest first) *)
   tele : tele;
+  dispatch : int array;
+      (** steps per dispatch class while telemetry is on, flushed to the
+          registry when the run ends *)
 }
 
 type result = {
@@ -376,9 +487,10 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   let stack_base =
     Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap cfg.vm_stack_bytes
   in
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace funcs f.fn_name f) p.p_funcs;
-  let tele = make_tele cfg.vm_telemetry p in
+  let tele = make_tele cfg.vm_telemetry in
+  let code, func_index =
+    lower ~machine:cfg.vm_machine ~profiling:(tele.tl_prof <> None) p
+  in
   (match tele.tl_prof with
   | Some pr ->
       heap.Gcheap.Heap.on_free <-
@@ -387,7 +499,8 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   {
     cfg;
     heap;
-    funcs;
+    code;
+    func_index;
     statics_base;
     stack_base;
     sp = 0;
@@ -399,13 +512,15 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     gc_count = 0;
     inc_grays_seen = 0;
     rand_state = 42;
-    arg_queue = [];
+    args = Array.make 16 0;
+    nargs = 0;
     at_call = false;
     gc_points = [];
     gc_max_pause_words = 0;
     gc_total_pause_words = 0;
     censuses = [];
     tele;
+    dispatch = Array.make (Array.length dispatch_class_names) 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -518,16 +633,14 @@ let point_context st =
   match st.frames with
   | [] -> "program exit"
   | fr :: _ ->
-      let total = List.length fr.fr_block.b_instrs in
-      let executed = total - List.length fr.fr_pc in
+      let b = fr.fr_block in
       let where =
-        if executed = 0 then "block entry"
+        if fr.fr_ip = 0 then "block entry"
         else
           Format.asprintf "after %a" Ir.Instr.pp_instr
-            (List.nth fr.fr_block.b_instrs (executed - 1))
+            b.lb_instrs.(fr.fr_ip - 1)
       in
-      Printf.sprintf "%s, L%d, %s" fr.fr_func.fn_name fr.fr_block.b_label
-        where
+      Printf.sprintf "%s, L%d, %s" fr.fr_func.lf_name b.lb_label where
 
 let forced_collect st =
   let ctx = point_context st in
@@ -630,32 +743,46 @@ let check_heap_ceiling st =
 (* Frames                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let push_frame st (f : func) (args : int list) (dst : reg option) =
-  let frame_size = (f.fn_frame + 15) / 16 * 16 in
+let push_arg st v =
+  if st.nargs = Array.length st.args then begin
+    let grown = Array.make (2 * st.nargs) 0 in
+    Array.blit st.args 0 grown 0 st.nargs;
+    st.args <- grown
+  end;
+  st.args.(st.nargs) <- v;
+  st.nargs <- st.nargs + 1
+
+(* The index in [st.args] of the first of the last [n] pushed
+   arguments. *)
+let args_start st n =
+  if n > st.nargs then raise (Fault "argument queue underflow");
+  st.nargs - n
+
+(** Enter [f], passing it the last [nargs] pushed arguments. *)
+let push_frame st (f : lfunc) nargs (dst : reg option) =
+  let first = args_start st nargs in
   st.depth <- st.depth + 1;
   if
-    st.sp + frame_size > st.cfg.vm_stack_bytes
+    st.sp + f.lf_frame > st.cfg.vm_stack_bytes
     || st.depth > st.cfg.vm_stack_bytes / 64
   then raise (Fault "stack overflow");
   let base = st.stack_base + st.sp in
-  st.sp <- st.sp + frame_size;
-  let regs = Array.make (max f.fn_nreg 1) 0 in
+  st.sp <- st.sp + f.lf_frame;
+  let regs = Array.make f.lf_nregs 0 in
   regs.(fp) <- base;
-  (try
-     List.iter2 (fun r v -> regs.(r) <- v) f.fn_params args
-   with Invalid_argument _ ->
-     raise (Fault (Printf.sprintf "arity mismatch calling %s" f.fn_name)));
-  let blocks = Hashtbl.create 8 in
-  List.iter (fun b -> Hashtbl.replace blocks b.b_label b) f.fn_blocks;
-  let entry = List.hd f.fn_blocks in
+  if Array.length f.lf_params <> nargs then
+    raise (Fault (Printf.sprintf "arity mismatch calling %s" f.lf_name));
+  Array.iteri (fun k r -> regs.(r) <- st.args.(first + k)) f.lf_params;
+  st.nargs <- first;
+  if Array.length f.lf_blocks = 0 then
+    raise (Fault (Printf.sprintf "function %s has no code" f.lf_name));
   st.frames <-
     {
       fr_func = f;
       fr_regs = regs;
       fr_base = base;
-      fr_blocks = blocks;
-      fr_block = entry;
-      fr_pc = entry.b_instrs;
+      fr_block = f.lf_blocks.(0);
+      fr_ip = 0;
       fr_dst = dst;
     }
     :: st.frames
@@ -664,7 +791,7 @@ let pop_frame st (ret : int) =
   match st.frames with
   | [] -> raise (Fault "return with no frame")
   | fr :: rest ->
-      let frame_size = (fr.fr_func.fn_frame + 15) / 16 * 16 in
+      let frame_size = fr.fr_func.lf_frame in
       (* clear the dead frame so stale locals do not linger as roots *)
       if frame_size > 0 then
         Gcheap.Mem.fill st.heap.Gcheap.Heap.mem fr.fr_base frame_size '\000';
@@ -700,14 +827,14 @@ let check_access st addr len what =
   | None -> ()
 
 let load_mem st width addr =
-  check_access st addr (bytes_of_width width) "load";
-  Gcheap.Mem.load st.heap.Gcheap.Heap.mem ~width:(bytes_of_width width) addr
+  check_access st addr width "load";
+  Gcheap.Mem.load st.heap.Gcheap.Heap.mem ~width addr
 
 let store_mem st width addr v =
-  check_access st addr (bytes_of_width width) "store";
+  check_access st addr width "store";
   (* generational write barrier; charges no cycles in either gc mode *)
-  Gcheap.Heap.note_store st.heap addr (bytes_of_width width);
-  Gcheap.Mem.store st.heap.Gcheap.Heap.mem ~width:(bytes_of_width width) addr v
+  Gcheap.Heap.note_store st.heap addr width;
+  Gcheap.Mem.store st.heap.Gcheap.Heap.mem ~width addr v
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
@@ -719,7 +846,7 @@ let cstring st addr =
 
 let charge st n = st.cycles <- st.cycles + n
 
-let alloc ?kind st n =
+let alloc ?kind st ~site n =
   maybe_collect_for_alloc st;
   let a = Gcheap.Heap.alloc ?kind st.heap (max n 1) in
   if st.tele.tl_on then begin
@@ -727,7 +854,7 @@ let alloc ?kind st n =
     match st.tele.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;
-        Telemetry.Heap_profiler.on_alloc pr ~site:st.tele.tl_cur_site ~addr:a
+        Telemetry.Heap_profiler.on_alloc pr ~site ~addr:a
           ~bytes:(max n 1)
     | None -> ()
   end;
@@ -776,24 +903,26 @@ let do_printf st fmt args =
   Buffer.add_buffer st.out buf;
   Buffer.length buf
 
-let builtin st name (args : int list) : int =
+(* [site] is the calling instruction's allocation-site id, for the heap
+   profiler. *)
+let builtin st ~site name (args : int list) : int =
   let m = st.cfg.vm_machine in
   charge st m.Machdesc.md_cost_call;
   match (name, args) with
   | ("malloc" | "GC_malloc"), [ n ] ->
       charge st 40;
-      alloc st n
+      alloc st ~site n
   | "GC_malloc_atomic", [ n ] ->
       charge st 40;
-      alloc ~kind:Gcheap.Block.Atomic st n
+      alloc ~kind:Gcheap.Block.Atomic st ~site n
   | "calloc", [ a; b ] ->
       charge st 45;
-      alloc st (a * b)
+      alloc st ~site (a * b)
   | "realloc", [ p; n ] ->
       charge st 50;
-      if p = 0 then alloc st n
+      if p = 0 then alloc st ~site n
       else begin
-        let fresh = alloc st n in
+        let fresh = alloc st ~site n in
         (match Gcheap.Heap.extent_of st.heap p with
         | Some (base, size) ->
             let old_len = size - (p - base) in
@@ -962,111 +1091,66 @@ let eval_rel op a b =
   in
   if r then 1 else 0
 
-let instr_cost st fr (i : instr) =
-  let m = st.cfg.vm_machine in
-  match i with
-  | Mov _ | Opaque _ -> m.Machdesc.md_cost_mov
-  | Bin (op, d, a, _) ->
-      let base =
-        match op with
-        | Mul -> m.Machdesc.md_cost_mul
-        | Div | Mod -> m.Machdesc.md_cost_div
-        | _ -> m.Machdesc.md_cost_alu
-      in
-      (* two-operand machines need a move when dst <> first source *)
-      let penalty =
-        if m.Machdesc.md_two_operand && a <> Reg d then
-          m.Machdesc.md_cost_mov
-        else 0
-      in
-      ignore fr;
-      base + penalty
-  | Rel _ -> m.Machdesc.md_cost_alu + 1
-  | Load _ -> m.Machdesc.md_cost_load
-  | Store _ -> m.Machdesc.md_cost_store
-  | Push _ -> m.Machdesc.md_cost_mov
-  | Call _ -> 0 (* overhead charged at dispatch, body separately *)
-  | KeepLive _ -> 0
+let jump fr t =
+  if t >= 0 then begin
+    fr.fr_block <- fr.fr_func.lf_blocks.(t);
+    fr.fr_ip <- 0
+  end
+  else raise (Fault (Printf.sprintf "jump to unknown label L%d" (-1 - t)))
 
-let rec step st =
+let step st =
   match st.frames with
   | [] -> raise (Fault "no frame")
-  | fr :: _ -> (
-      match fr.fr_pc with
-      | i :: rest ->
-          fr.fr_pc <- rest;
-          st.instrs <- st.instrs + 1;
-          st.cycles <- st.cycles + instr_cost st fr i;
-          st.at_call <- (match i with Call _ -> true | _ -> false);
-          if st.tele.tl_on then begin
-            Telemetry.Metrics.incr st.tele.tl_steps;
-            Telemetry.Metrics.incr st.tele.tl_dispatch.(class_of_instr i);
-            match st.tele.tl_prof with
-            | Some _ -> (
-                match Instrtbl.find_opt st.tele.tl_sites i with
-                | Some site -> st.tele.tl_cur_site <- site
-                | None -> ())
-            | None -> ()
-          end;
-          (match i with
-          | Mov (d, s) -> fr.fr_regs.(d) <- operand st fr s
-          | Opaque (d, s) -> fr.fr_regs.(d) <- operand st fr s
-          | Bin (op, d, a, b) ->
-              fr.fr_regs.(d) <- eval_bin op (operand st fr a) (operand st fr b)
-          | Rel (op, d, a, b) ->
-              fr.fr_regs.(d) <- eval_rel op (operand st fr a) (operand st fr b)
-          | Load (w, d, base, off) ->
-              fr.fr_regs.(d) <-
-                load_mem st w (operand st fr base + operand st fr off)
-          | Store (w, src, base, off) ->
-              store_mem st w
-                (operand st fr base + operand st fr off)
-                (operand st fr src)
-          | KeepLive _ -> ()
-          | Push v -> st.arg_queue <- operand st fr v :: st.arg_queue
-          | Call (dst, fname, nargs) -> (
-              let vargs =
-                let rec take n acc q =
-                  if n = 0 then (acc, q)
-                  else
-                    match q with
-                    | v :: rest -> take (n - 1) (v :: acc) rest
-                    | [] -> raise (Fault "argument queue underflow")
-                in
-                let args, rest = take nargs [] st.arg_queue in
-                st.arg_queue <- rest;
-                args
-              in
-              match Hashtbl.find_opt st.funcs fname with
-              | Some f ->
-                  st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_call;
-                  push_frame st f vargs dst
-              | None ->
-                  let r = builtin st fname vargs in
-                  Option.iter (fun d -> fr.fr_regs.(d) <- r) dst))
-      | [] ->
-          (* terminator *)
-          st.instrs <- st.instrs + 1;
-          st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_branch;
-          if st.tele.tl_on then begin
-            Telemetry.Metrics.incr st.tele.tl_steps;
-            Telemetry.Metrics.incr st.tele.tl_dispatch.(8)
-          end;
-          (match fr.fr_block.b_term with
-          | Jmp l -> jump st fr l
-          | Br (c, l1, l2) ->
-              if operand st fr c <> 0 then jump st fr l1 else jump st fr l2
-          | Ret v ->
-              let rv = match v with Some o -> operand st fr o | None -> 0 in
-              pop_frame st rv))
-
-and jump st fr l =
-  ignore st;
-  match Hashtbl.find_opt fr.fr_blocks l with
-  | Some b ->
-      fr.fr_block <- b;
-      fr.fr_pc <- b.b_instrs
-  | None -> raise (Fault (Printf.sprintf "jump to unknown label L%d" l))
+  | fr :: _ ->
+      let b = fr.fr_block in
+      let ip = fr.fr_ip in
+      st.instrs <- st.instrs + 1;
+      if ip < Array.length b.lb_code then begin
+        let i = b.lb_code.(ip) in
+        fr.fr_ip <- ip + 1;
+        st.cycles <- st.cycles + b.lb_cost.(ip);
+        st.at_call <- false;
+        if st.tele.tl_on then begin
+          let k = class_of_code i in
+          st.dispatch.(k) <- st.dispatch.(k) + 1
+        end;
+        let regs = fr.fr_regs in
+        match i with
+        | Move (d, s) -> regs.(d) <- operand st fr s
+        | Arith (op, d, a, b) ->
+            regs.(d) <- eval_bin op (operand st fr a) (operand st fr b)
+        | Compare (op, d, a, b) ->
+            regs.(d) <- eval_rel op (operand st fr a) (operand st fr b)
+        | Ld (w, d, base, off) ->
+            regs.(d) <- load_mem st w (operand st fr base + operand st fr off)
+        | St (w, src, base, off) ->
+            store_mem st w
+              (operand st fr base + operand st fr off)
+              (operand st fr src)
+        | Keep -> ()
+        | Arg v -> push_arg st (operand st fr v)
+        | Call_fn (dst, callee, n) ->
+            st.at_call <- true;
+            st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_call;
+            push_frame st st.code.(callee) n dst
+        | Call_builtin (dst, name, n, site) -> (
+            st.at_call <- true;
+            let first = args_start st n in
+            let args = List.init n (fun k -> st.args.(first + k)) in
+            st.nargs <- first;
+            let r = builtin st ~site name args in
+            match dst with Some d -> regs.(d) <- r | None -> ())
+      end
+      else begin
+        st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_branch;
+        if st.tele.tl_on then
+          st.dispatch.(branch_class) <- st.dispatch.(branch_class) + 1;
+        match b.lb_term with
+        | Goto t -> jump fr t
+        | Branch (c, t1, t2) -> jump fr (if operand st fr c <> 0 then t1 else t2)
+        | Return v ->
+            pop_frame st (match v with Some o -> operand st fr o | None -> 0)
+      end
 
 (** Run [main] to completion. *)
 let run ?(config = default_config ()) ?(args = []) (p : program) : result =
@@ -1083,12 +1167,21 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
             Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.emergency" []
         | None -> ());
         collect ~trigger:"emergency" st);
-  (match Hashtbl.find_opt st.funcs "main" with
-  | Some f -> push_frame st f args None
+  (match Hashtbl.find_opt st.func_index "main" with
+  | Some k ->
+      List.iter (push_arg st) args;
+      push_frame st st.code.(k) (List.length args) None
   | None -> raise (Fault "no main function"));
   let tl = st.tele in
   let finally () =
-    (* faulting runs still get a closed trace and a finished profile *)
+    (* faulting and trapping runs still report their step counts, and
+       get a closed trace and a finished profile *)
+    if tl.tl_on then begin
+      Telemetry.Metrics.add tl.tl_steps st.instrs;
+      Array.iteri
+        (fun k n -> Telemetry.Metrics.add tl.tl_dispatch.(k) n)
+        st.dispatch
+    end;
     (match tl.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;

@@ -10,6 +10,10 @@
     map, so touching a prematurely collected object faults instead of
     silently reading poisoned memory.
 
+    Each run first lowers the program into flat per-block arrays with
+    resolved branch targets and callees; a branch to a missing label
+    still faults only when it is taken.
+
     Resource exhaustion (step or heap ceiling) raises [Trap], distinct
     from [Fault]: running out of budget is a structured diagnostic, not a
     program error. *)

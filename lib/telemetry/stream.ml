@@ -102,9 +102,14 @@ let advance t ~now =
     flush t ~to_:(t.start + t.window)
   done
 
+(* The trailing window is emitted when the clock moved past the last
+   boundary, when nothing was emitted yet, or when counts landed on the
+   final boundary tick itself — an empty-length window then carries
+   them, so folding the windows still gives the whole-run diff. *)
 let finish t ~now =
   advance t ~now;
-  if now > t.start || t.index = 0 then flush t ~to_:(max now t.start)
+  if now > t.start || t.index = 0 || Metrics.snapshot t.metrics <> t.base then
+    flush t ~to_:(max now t.start)
 
 let windows t = List.rev t.diffs
 

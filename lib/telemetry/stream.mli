@@ -38,8 +38,10 @@ val advance : t -> now:int -> unit
     non-advancing clock. *)
 
 val finish : t -> now:int -> unit
-(** Emit any trailing partial window up to [now].  Always emits at
-    least one window over the stream's lifetime. *)
+(** Emit any trailing partial window up to [now], including one that
+    only carries counts recorded at a final tick that is itself a window
+    boundary.  Always emits at least one window over the stream's
+    lifetime. *)
 
 val windows : t -> Metrics.snapshot list
 (** The raw per-window snapshot diffs emitted so far, oldest first —

@@ -344,6 +344,103 @@ let test_two_operand_penalty () =
   Alcotest.(check string) "same output" o10 op;
   Alcotest.(check bool) "models differ" true (c10 <> cp)
 
+(* --- hand-built IR: the lowered VM's edge cases ------------------------- *)
+
+open Ir.Instr
+
+let func ?(params = []) ?(nreg = 8) name blocks =
+  {
+    fn_name = name;
+    fn_params = params;
+    fn_ret_void = false;
+    fn_blocks =
+      List.map
+        (fun (l, instrs, term) -> { b_label = l; b_instrs = instrs; b_term = term })
+        blocks;
+    fn_nreg = nreg;
+    fn_frame = 0;
+  }
+
+let program funcs = { p_funcs = funcs; p_statics = Bytes.empty; p_relocs = [] }
+
+let exit_code funcs = (Machine.Vm.run (program funcs)).Machine.Vm.r_exit
+
+let expect_fault name msg funcs =
+  match Machine.Vm.run (program funcs) with
+  | _ -> Alcotest.failf "%s: ran to completion" name
+  | exception Machine.Vm.Fault m -> Alcotest.(check string) name msg m
+
+let test_lazy_unknown_label () =
+  let main cond =
+    func "main"
+      [ (0, [], Br (Imm cond, 1, 99)); (1, [], Ret (Some (Imm 7))) ]
+  in
+  Alcotest.(check int) "untaken arm to an unknown label runs" 7
+    (exit_code [ main 1 ]);
+  expect_fault "taken arm to an unknown label" "jump to unknown label L99"
+    [ main 0 ]
+
+let test_user_function_shadows_builtin () =
+  let abs = func "abs" ~params:[ 1 ] [ (0, [], Ret (Some (Imm 42))) ] in
+  let main =
+    func "main"
+      [ (0, [ Push (Imm (-5)); Call (Some 1, "abs", 1) ], Ret (Some (Reg 1))) ]
+  in
+  Alcotest.(check int) "the user's abs is called" 42 (exit_code [ abs; main ]);
+  Alcotest.(check int) "without it, the builtin" 5 (exit_code [ main ])
+
+let test_arity_mismatch () =
+  let f = func "f" ~params:[ 1 ] [ (0, [], Ret (Some (Reg 1))) ] in
+  let main =
+    func "main"
+      [
+        ( 0,
+          [ Push (Imm 1); Push (Imm 2); Call (Some 1, "f", 2) ],
+          Ret (Some (Reg 1)) );
+      ]
+  in
+  expect_fault "two arguments to a one-parameter function"
+    "arity mismatch calling f" [ f; main ]
+
+(* Store [v] at [width] into a fresh object and load it back. *)
+let round_trip width v =
+  exit_code
+    [
+      func "main"
+        [
+          ( 0,
+            [
+              Push (Imm 16);
+              Call (Some 1, "malloc", 1);
+              Store (width, Imm v, Reg 1, Imm 0);
+              Load (width, 2, Reg 1, Imm 0);
+            ],
+            Ret (Some (Reg 2)) );
+        ];
+    ]
+
+let test_narrow_widths () =
+  List.iter
+    (fun (width, v, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d-byte store/load of %#x" (bytes_of_width width) v)
+        expected (round_trip width v))
+    [
+      (W1, 0x7f, 0x7f);
+      (W1, 0x80, -0x80);
+      (W1, 0x1ff, -1);
+      (W2, 0x7fff, 0x7fff);
+      (W2, 0x8000, -0x8000);
+      (W2, 0x1_2345, 0x2345);
+      (W4, 0x7fff_ffff, 0x7fff_ffff);
+      (W4, 0x8000_0000, -0x8000_0000);
+      (W4, 0x1_8000_0001, -0x7fff_ffff);
+      (W8, 0x1234_5678_9abc, 0x1234_5678_9abc);
+      (W8, -2, -2);
+      (W8, max_int, max_int);
+      (W8, min_int, min_int);
+    ]
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -372,4 +469,10 @@ let suite =
     Alcotest.test_case "deterministic rand" `Quick test_rand_deterministic;
     Alcotest.test_case "cycle counting" `Quick test_cycles_positive;
     Alcotest.test_case "machine models differ" `Quick test_two_operand_penalty;
+    Alcotest.test_case "unknown label faults only when taken" `Quick
+      test_lazy_unknown_label;
+    Alcotest.test_case "user function shadows a builtin" `Quick
+      test_user_function_shadows_builtin;
+    Alcotest.test_case "arity mismatch faults" `Quick test_arity_mismatch;
+    Alcotest.test_case "narrow loads sign-extend" `Quick test_narrow_widths;
   ]

@@ -165,32 +165,43 @@ let apply_op m (kind, v, _) =
   | 1 -> Metrics.set (Metrics.gauge m "g") v
   | _ -> Metrics.observe (Metrics.histogram m "h") v
 
+(* Folding {!Metrics.merge} over a stream's windows equals the diff of
+   the whole interval, for [interval]'s ops applied on top of
+   [before]'s. *)
+let window_merge_holds (before, interval) =
+  let m = Metrics.create () in
+  List.iter (apply_op m) before;
+  let s0 = Metrics.snapshot m in
+  let s = Stream.create ~window:16 ~metrics:m ~emit:ignore () in
+  let now = ref 0 in
+  List.iter
+    (fun ((_, _, gap) as op) ->
+      apply_op m op;
+      now := !now + gap;
+      Stream.advance s ~now:!now)
+    interval;
+  Stream.finish s ~now:!now;
+  let merged =
+    match Stream.windows s with
+    | [] -> []
+    | w :: ws -> List.fold_left Metrics.merge w ws
+  in
+  let whole = Metrics.diff (Metrics.snapshot m) s0 in
+  Json.to_string (Metrics.to_json merged)
+  = Json.to_string (Metrics.to_json whole)
+
 let test_window_merge_law =
   QCheck.Test.make
     ~name:"folding merge over stream windows equals the whole-run diff"
     ~count:200
     QCheck.(pair ops_gen ops_gen)
-    (fun (before, interval) ->
-      let m = Metrics.create () in
-      List.iter (apply_op m) before;
-      let s0 = Metrics.snapshot m in
-      let s = Stream.create ~window:16 ~metrics:m ~emit:ignore () in
-      let now = ref 0 in
-      List.iter
-        (fun ((_, _, gap) as op) ->
-          apply_op m op;
-          now := !now + gap;
-          Stream.advance s ~now:!now)
-        interval;
-      Stream.finish s ~now:!now;
-      let merged =
-        match Stream.windows s with
-        | [] -> []
-        | w :: ws -> List.fold_left Metrics.merge w ws
-      in
-      let whole = Metrics.diff (Metrics.snapshot m) s0 in
-      Json.to_string (Metrics.to_json merged)
-      = Json.to_string (Metrics.to_json whole))
+    window_merge_holds
+
+(* The clock lands exactly on a window boundary and a count is recorded
+   at that same final tick: [finish] must still emit it. *)
+let test_finish_on_boundary () =
+  Alcotest.(check bool) "count at the final boundary tick is kept" true
+    (window_merge_holds ([], [ (0, 0, 16); (0, 1, 0) ]))
 
 (* --- heap census --------------------------------------------------------- *)
 
@@ -401,3 +412,7 @@ let suite =
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
   ]
   @ qsuite [ test_ring_wraparound; test_window_merge_law ]
+  @ [
+      Alcotest.test_case "stream finish keeps counts at a boundary tick"
+        `Quick test_finish_on_boundary;
+    ]
