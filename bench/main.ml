@@ -12,14 +12,16 @@
    and through the content-addressed artifact cache — the cache section
    reports the hit rate the table regeneration achieved.
 
-   Besides the human-readable stdout, a machine-readable summary of
-   everything measured — per-section wall-clock timings, annotation
-   counts, cache hit rates, GC pause and drag statistics, and the
-   telemetry-overhead ablation — is written to BENCH_4.json.  The
-   gcmodes section additionally writes BENCH_5.json: minor-vs-major
-   pause percentiles and the stw/gen differential-divergence count. *)
+   Besides the human-readable stdout, each section records its figures
+   into the machine-readable JSON file it reports to: annotation counts,
+   cache hit rates, GC drag and the telemetry-overhead ablation go to
+   BENCH_4.json (with per-section wall-clock timings); gcmodes to
+   BENCH_5.json, resilience to BENCH_6.json, incremental to
+   BENCH_8.json, observability to BENCH_9.json and nursery to
+   BENCH_10.json.  Only the files some section of the run recorded
+   into are written, so a partial run leaves the others untouched. *)
 
-(* --- the machine-readable summary (BENCH_4.json) ------------------------- *)
+(* --- the machine-readable summaries (BENCH_<n>.json) --------------------- *)
 
 (* one-shot: build a request's configuration and execute it (telemetry
    observes the run only; builds stay uninstrumented, as before) *)
@@ -31,9 +33,10 @@ let exec_req ?telemetry (req : Harness.Request.t) =
   in
   Harness.Measure.exec ?telemetry req b
 
-let bench_data : (string * Telemetry.Json.t) list ref = ref []
+(* (file, (key, value)) in reverse recording order *)
+let recorded : (string * (string * Telemetry.Json.t)) list ref = ref []
 
-let record key v = bench_data := (key, v) :: !bench_data
+let record ~file key v = recorded := (file, (key, v)) :: !recorded
 
 let section_timings : (string * float) list ref = ref []
 
@@ -44,13 +47,25 @@ let timed_section name f =
 
 let write_bench_json () =
   let open Telemetry.Json in
-  let timings =
-    Obj (List.rev_map (fun (n, s) -> (n, Float s)) !section_timings)
-  in
-  let doc = Obj (("section_seconds", timings) :: List.rev !bench_data) in
-  Out_channel.with_open_text "BENCH_4.json" (fun oc ->
-      Out_channel.output_string oc (to_string doc ^ "\n"));
-  Printf.printf "wrote BENCH_4.json\n"
+  let entries = List.rev !recorded in
+  List.iter
+    (fun file ->
+      let fields =
+        List.filter_map
+          (fun (f, kv) -> if f = file then Some kv else None)
+          entries
+      in
+      let fields =
+        if file = "BENCH_4.json" then
+          ( "section_seconds",
+            Obj (List.rev_map (fun (n, s) -> (n, Float s)) !section_timings) )
+          :: fields
+        else fields
+      in
+      Out_channel.with_open_text file (fun oc ->
+          Out_channel.output_string oc (to_string (Obj fields) ^ "\n"));
+      Printf.printf "wrote %s\n" file)
+    (List.sort_uniq compare (List.map fst entries))
 
 let paper_reference = function
   | "t1" ->
@@ -176,7 +191,7 @@ let cache_section () =
         ("hit_rate", Telemetry.Json.Float (Exec.Cache.hit_rate s));
       ]
   in
-  record "cache"
+  record ~file:"BENCH_4.json" "cache"
     (Telemetry.Json.Obj
        [
          ("cold", stats_json cold);
@@ -420,7 +435,8 @@ let ablate_analysis () =
             ] ))
       Workloads.Registry.paper_suite
   in
-  record "annotations" (Telemetry.Json.Obj annotation_counts);
+  record ~file:"BENCH_4.json" "annotations"
+    (Telemetry.Json.Obj annotation_counts);
   print_endline "-- residual -O safe overhead vs -O, analysis off / on";
   List.iter
     (fun (machine : Machine.Machdesc.t) ->
@@ -518,7 +534,7 @@ let profile_section () =
             ] ))
       Workloads.Registry.paper_suite
   in
-  record "gc_profile" (Telemetry.Json.Obj rows);
+  record ~file:"BENCH_4.json" "gc_profile" (Telemetry.Json.Obj rows);
   print_newline ()
 
 (* --- ablation: telemetry overhead ---------------------------------------- *)
@@ -570,7 +586,7 @@ let ablate_telemetry () =
             ] ))
       Workloads.Registry.paper_suite
   in
-  record "telemetry_overhead" (Telemetry.Json.Obj rows);
+  record ~file:"BENCH_4.json" "telemetry_overhead" (Telemetry.Json.Obj rows);
   print_newline ()
 
 (* --- bechamel micro-benchmarks of the collector primitives --------------- *)
@@ -659,19 +675,8 @@ let micro () =
    must produce identical output — the collector mode is not allowed to
    be observable. *)
 
-let bench5_data : (string * Telemetry.Json.t) list ref = ref []
-
-let record5 key v = bench5_data := (key, v) :: !bench5_data
-
-let write_bench5_json () =
-  if !bench5_data <> [] then begin
-    let doc = Telemetry.Json.Obj (List.rev !bench5_data) in
-    Out_channel.with_open_text "BENCH_5.json" (fun oc ->
-        Out_channel.output_string oc (Telemetry.Json.to_string doc ^ "\n"));
-    Printf.printf "wrote BENCH_5.json\n"
-  end
-
 let gcmodes () =
+  let record = record ~file:"BENCH_5.json" in
   print_endline
     "== GC modes: generational minor pauses vs stop-the-world majors \
      (safe build, sparc10) ==";
@@ -748,8 +753,8 @@ let gcmodes () =
             ] ))
       [ "cordtest"; "cfrac" ]
   in
-  record5 "gc_threshold" (Telemetry.Json.Int threshold);
-  record5 "pauses" (Telemetry.Json.Obj rows);
+  record "gc_threshold" (Telemetry.Json.Int threshold);
+  record "pauses" (Telemetry.Json.Obj rows);
   (* the differential matrix over both collector modes: unsafe examples
      must fail identically, safe builds must never diverge *)
   print_endline
@@ -780,7 +785,7 @@ let gcmodes () =
     (List.length report.Stress.Driver.r_findings)
     unexpected;
   if unexpected > 0 then failwith "stw/gen divergence in the example corpus";
-  record5 "stress"
+  record "stress"
     (Telemetry.Json.Obj
        [
          ("targets", Telemetry.Json.Int report.Stress.Driver.r_targets);
@@ -794,29 +799,16 @@ let gcmodes () =
 
 (* --- bump nursery: alloc throughput and minor pauses (BENCH_10.json) ----- *)
 
-(* Two generational runs of every paper workload at the same threshold —
-   nursery disabled (the legacy shared-page young allocator) and the
-   default bump nursery — plus a stop-the-world reference.  Pause
-   numbers stay on the deterministic words-of-work clock; allocation
-   throughput (objects per wall second over the VM run only, builds
-   excluded) is the one wall-clock figure, reported per configuration so
-   the improvement ratio is visible.  Stop-the-world runs must be
-   bit-identical under any nursery setting — the knob is dead in that
-   mode by construction, and the gate in CI holds us to it. *)
-
-let bench10_data : (string * Telemetry.Json.t) list ref = ref []
-
-let record10 key v = bench10_data := (key, v) :: !bench10_data
-
-let write_bench10_json () =
-  if !bench10_data <> [] then begin
-    let doc = Telemetry.Json.Obj (List.rev !bench10_data) in
-    Out_channel.with_open_text "BENCH_10.json" (fun oc ->
-        Out_channel.output_string oc (Telemetry.Json.to_string doc ^ "\n"));
-    Printf.printf "wrote BENCH_10.json\n"
-  end
+(* A generational run of every paper workload with the default bump
+   nursery, against a stop-the-world reference at the same threshold.
+   Pause numbers stay on the deterministic words-of-work clock;
+   allocation throughput (objects per wall second over the VM run only,
+   builds excluded) is the one wall-clock figure.  Stop-the-world runs
+   must be bit-identical under any nursery setting — the knob is dead in
+   that mode by construction, and the gate in CI holds us to it. *)
 
 let nursery_section () =
+  let record = record ~file:"BENCH_10.json" in
   print_endline
     "== Nursery: bump-pointer allocation throughput and minor pauses \
      (safe build, sparc10) ==";
@@ -855,52 +847,37 @@ let nursery_section () =
         let name = w.Workloads.Registry.w_name in
         let src = w.Workloads.Registry.w_source in
         (* the knob must be invisible in stop-the-world mode *)
-        let stw0, _, _ = run src Gcheap.Heap.Stw 0 in
-        let stw8, _, _ = run src Gcheap.Heap.Stw nursery_default in
+        let stw1, _, _ = run src Gcheap.Heap.Stw 1 in
+        let stw, _, _ = run src Gcheap.Heap.Stw nursery_default in
         let stw_identical =
-          String.equal stw0.Harness.Measure.o_output
-            stw8.Harness.Measure.o_output
-          && stw0.Harness.Measure.o_cycles = stw8.Harness.Measure.o_cycles
-          && stw0.Harness.Measure.o_gc_count = stw8.Harness.Measure.o_gc_count
+          String.equal stw1.Harness.Measure.o_output
+            stw.Harness.Measure.o_output
+          && stw1.Harness.Measure.o_cycles = stw.Harness.Measure.o_cycles
+          && stw1.Harness.Measure.o_gc_count = stw.Harness.Measure.o_gc_count
         in
         if not stw_identical then
           failwith (name ^ ": nursery knob observable in stw mode");
-        let legacy, legacy_m, legacy_s = run src Gcheap.Heap.Gen 0 in
         let bump, bump_m, bump_s = run src Gcheap.Heap.Gen nursery_default in
         let outputs_match =
-          String.equal stw0.Harness.Measure.o_output
-            legacy.Harness.Measure.o_output
-          && String.equal stw0.Harness.Measure.o_output
-               bump.Harness.Measure.o_output
+          String.equal stw.Harness.Measure.o_output
+            bump.Harness.Measure.o_output
         in
         if not outputs_match then
           failwith (name ^ ": nursery changed program output");
-        let lminors, lp50, lp90 = hist legacy_m "vm/gc/minor/pause_words" in
         let bminors, bp50, bp90 = hist bump_m "vm/gc/minor/pause_words" in
-        let rate allocs s = float_of_int allocs /. max 1e-9 s in
-        let legacy_rate = rate legacy.Harness.Measure.o_allocs legacy_s in
-        let bump_rate = rate bump.Harness.Measure.o_allocs bump_s in
+        let bump_rate =
+          float_of_int bump.Harness.Measure.o_allocs /. max 1e-9 bump_s
+        in
         Printf.printf
-          "  %-10s alloc throughput %8.0f -> %8.0f obj/s (%4.2fx)   minor \
-           p50 %6d -> %6d words\n"
-          name legacy_rate bump_rate
-          (bump_rate /. max 1e-9 legacy_rate)
-          lp50 bp50;
+          "  %-10s alloc throughput %8.0f obj/s   minor p50 %6d words, p90 \
+           %6d words\n"
+          name bump_rate bp50 bp90;
         ( name,
           Telemetry.Json.Obj
             [
               ("stw_identical", Telemetry.Json.Bool stw_identical);
               ("outputs_match", Telemetry.Json.Bool outputs_match);
               ("allocs", Telemetry.Json.Int bump.Harness.Measure.o_allocs);
-              ( "legacy",
-                Telemetry.Json.Obj
-                  [
-                    ("minor_collections", Telemetry.Json.Int lminors);
-                    ("minor_p50_pause_words", Telemetry.Json.Int lp50);
-                    ("minor_p90_pause_words", Telemetry.Json.Int lp90);
-                    ("vm_seconds", Telemetry.Json.Float legacy_s);
-                    ("allocs_per_second", Telemetry.Json.Float legacy_rate);
-                  ] );
               ( "nursery",
                 Telemetry.Json.Obj
                   [
@@ -910,14 +887,12 @@ let nursery_section () =
                     ("vm_seconds", Telemetry.Json.Float bump_s);
                     ("allocs_per_second", Telemetry.Json.Float bump_rate);
                   ] );
-              ( "throughput_ratio",
-                Telemetry.Json.Float (bump_rate /. max 1e-9 legacy_rate) );
             ] ))
       Workloads.Registry.paper_suite
   in
-  record10 "gc_threshold" (Telemetry.Json.Int threshold);
-  record10 "nursery_pages" (Telemetry.Json.Int nursery_default);
-  record10 "workloads" (Telemetry.Json.Obj rows);
+  record "gc_threshold" (Telemetry.Json.Int threshold);
+  record "nursery_pages" (Telemetry.Json.Int nursery_default);
+  record "workloads" (Telemetry.Json.Obj rows);
   (* differential matrices with the nursery on: the schedule sweep over
      stw/gen/inc and the chaos sweeps must both see zero unexpected
      divergences *)
@@ -967,7 +942,7 @@ let nursery_section () =
   Printf.printf "  %d unexpected chaos finding(s)\n" chaos_unexpected;
   if chaos_unexpected > 0 then
     failwith "chaos divergence with the nursery enabled";
-  record10 "stress"
+  record "stress"
     (Telemetry.Json.Obj
        [
          ("targets", Telemetry.Json.Int report.Stress.Driver.r_targets);
@@ -997,19 +972,8 @@ let nursery_section () =
       cache corruption) over every workload report zero unexpected
       findings. *)
 
-let bench6_data : (string * Telemetry.Json.t) list ref = ref []
-
-let record6 key v = bench6_data := (key, v) :: !bench6_data
-
-let write_bench6_json () =
-  if !bench6_data <> [] then begin
-    let doc = Telemetry.Json.Obj (List.rev !bench6_data) in
-    Out_channel.with_open_text "BENCH_6.json" (fun oc ->
-        Out_channel.output_string oc (Telemetry.Json.to_string doc ^ "\n"));
-    Printf.printf "wrote BENCH_6.json\n"
-  end
-
 let resilience () =
+  let record = record ~file:"BENCH_6.json" in
   print_endline "== Resilience: OOM recovery and chaos sweeps (sparc10) ==";
   let machine = Machine.Machdesc.sparc10 in
   let build gc_mode src =
@@ -1087,8 +1051,8 @@ let resilience () =
           [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ])
       Workloads.Registry.paper_suite
   in
-  record6 "chaos_off" (Telemetry.Json.Obj identity_rows);
-  record6 "chaos_off_identical" (Telemetry.Json.Bool true);
+  record "chaos_off" (Telemetry.Json.Obj identity_rows);
+  record "chaos_off_identical" (Telemetry.Json.Bool true);
   (* 2. collect-expand recovery margin *)
   print_endline
     "-- emergency collection margin: smallest ceiling where collect-expand \
@@ -1165,7 +1129,7 @@ let resilience () =
             ] ))
       Workloads.Registry.paper_suite
   in
-  record6 "recovery_margin" (Telemetry.Json.Obj margin_rows);
+  record "recovery_margin" (Telemetry.Json.Obj margin_rows);
   (* 3. chaos sweeps over the paper suite *)
   print_endline "-- chaos sweeps (allocation failures, worker faults, cache)";
   let plan =
@@ -1184,7 +1148,7 @@ let resilience () =
   Format.printf "%a@." Stress.Chaos.pp_report report;
   if Stress.Chaos.unexpected report <> [] then
     failwith "unexpected chaos finding in the paper suite";
-  record6 "chaos"
+  record "chaos"
     (Telemetry.Json.Obj
        [
          ("seed", Telemetry.Json.Int report.Stress.Chaos.c_plan_seed);
@@ -1229,19 +1193,8 @@ let resilience () =
    latency percentiles land next to the BENCH_7 bombardment
    baselines. *)
 
-let bench8_data : (string * Telemetry.Json.t) list ref = ref []
-
-let record8 key v = bench8_data := (key, v) :: !bench8_data
-
-let write_bench8_json () =
-  if !bench8_data <> [] then begin
-    let doc = Telemetry.Json.Obj (List.rev !bench8_data) in
-    Out_channel.with_open_text "BENCH_8.json" (fun oc ->
-        Out_channel.output_string oc (Telemetry.Json.to_string doc ^ "\n"));
-    Printf.printf "wrote BENCH_8.json\n"
-  end
-
 let incremental () =
+  let record = record ~file:"BENCH_8.json" in
   print_endline
     "== Incremental marking: pause percentiles vs budget (safe build, \
      sparc10) ==";
@@ -1318,10 +1271,10 @@ let incremental () =
         (name, Telemetry.Json.Obj cells))
       Workloads.Registry.paper_suite
   in
-  record8 "gc_threshold" (Telemetry.Json.Int threshold);
-  record8 "budget_sweep_words"
+  record "gc_threshold" (Telemetry.Json.Int threshold);
+  record "budget_sweep_words"
     (Telemetry.Json.List (List.map (fun b -> Telemetry.Json.Int b) budgets));
-  record8 "pauses" (Telemetry.Json.Obj rows);
+  record "pauses" (Telemetry.Json.Obj rows);
   (* the differential matrix over all three collector modes, then the
      chaos sweep: emergency collections landing mid-cycle must abandon
      soundly, never diverge *)
@@ -1355,7 +1308,7 @@ let incremental () =
     unexpected;
   if unexpected > 0 then
     failwith "stw/gen/inc divergence in the example corpus";
-  record8 "stress"
+  record "stress"
     (Telemetry.Json.Obj
        [
          ("targets", Telemetry.Json.Int report.Stress.Driver.r_targets);
@@ -1385,7 +1338,7 @@ let incremental () =
   let chaos_unexpected = List.length (Stress.Chaos.unexpected chaos_report) in
   if chaos_unexpected > 0 then
     failwith "unexpected chaos finding under incremental marking";
-  record8 "chaos"
+  record "chaos"
     (Telemetry.Json.Obj
        [
          ("seed", Telemetry.Json.Int chaos_report.Stress.Chaos.c_plan_seed);
@@ -1459,7 +1412,7 @@ let incremental () =
             ] ))
       budgets
   in
-  record8 "service"
+  record "service"
     (Telemetry.Json.Obj
        [
          ( "stw_baseline",
@@ -1485,19 +1438,8 @@ let incremental () =
    latency stays put; and (f) cycles bit-identical with the full plane
    attached (recorder + metrics + census). *)
 
-let bench9_data : (string * Telemetry.Json.t) list ref = ref []
-
-let record9 key v = bench9_data := (key, v) :: !bench9_data
-
-let write_bench9_json () =
-  if !bench9_data <> [] then begin
-    let doc = Telemetry.Json.Obj (List.rev !bench9_data) in
-    Out_channel.with_open_text "BENCH_9.json" (fun oc ->
-        Out_channel.output_string oc (Telemetry.Json.to_string doc ^ "\n"));
-    Printf.printf "wrote BENCH_9.json\n"
-  end
-
 let observability () =
+  let record = record ~file:"BENCH_9.json" in
   print_endline
     "== Observability: flight recorder, event stream, phase tracing, census \
      ==";
@@ -1552,7 +1494,7 @@ let observability () =
     !windows !events dropped
     (if dump_valid then "valid" else "INVALID")
     (if phase_sum_ok then "exact" else "BROKEN");
-  record9 "events"
+  record "events"
     (Telemetry.Json.Obj
        [
          ("windows", Telemetry.Json.Int !windows);
@@ -1562,7 +1504,7 @@ let observability () =
          ("burn_rate_present", Telemetry.Json.Bool (!burn_missing = 0));
          ("dump_valid", Telemetry.Json.Bool dump_valid);
        ]);
-  record9 "phase_sum_ok" (Telemetry.Json.Bool phase_sum_ok);
+  record "phase_sum_ok" (Telemetry.Json.Bool phase_sum_ok);
   (* the budget sweep: per-phase breakdown and the responding pause
      metric over the paper workloads *)
   print_endline "-- per-phase latency and worst pause per --gc-pause-budget";
@@ -1612,7 +1554,7 @@ let observability () =
     failwith "worst pause did not respond to the budget sweep";
   if not latency_invariant then
     failwith "tick latency moved across pause budgets (ablation hazard)";
-  record9 "budgets"
+  record "budgets"
     (Telemetry.Json.Obj
        (List.map
           (fun (budget, rp) ->
@@ -1636,8 +1578,8 @@ let observability () =
                     Telemetry.Json.Float (Service.Gcsafed.burn_rate rp) );
                 ] ))
           rows));
-  record9 "pause_responds" (Telemetry.Json.Bool pause_responds);
-  record9 "latency_budget_invariant" (Telemetry.Json.Bool latency_invariant);
+  record "pause_responds" (Telemetry.Json.Bool pause_responds);
+  record "latency_budget_invariant" (Telemetry.Json.Bool latency_invariant);
   (* ablation: the full plane attached must not move a cycle *)
   print_endline "-- ablation: cycles with the full plane attached";
   let identical =
@@ -1672,7 +1614,7 @@ let observability () =
       Workloads.Registry.paper_suite
   in
   if not identical then failwith "observability plane perturbed execution";
-  record9 "ablation"
+  record "ablation"
     (Telemetry.Json.Obj [ ("identical", Telemetry.Json.Bool identical) ]);
   print_newline ()
 
@@ -1782,9 +1724,4 @@ let () =
       in
       Option.iter (timed_section name) section)
     sections;
-  write_bench_json ();
-  write_bench5_json ();
-  write_bench6_json ();
-  write_bench10_json ();
-  write_bench8_json ();
-  write_bench9_json ()
+  write_bench_json ()

@@ -38,9 +38,42 @@ let read_input = function
 
 (* --- shared arguments -------------------------------------------------- *)
 
+let file_doc = "C source file ('-' for standard input)."
+
 let file_arg =
-  let doc = "C source file ('-' for standard input)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:file_doc)
+
+(* FILE or --workload NAME.  The term yields a thunk returning the
+   source's display name and text, so that FILE is read inside the
+   subcommand's error handler; a bad combination or an unknown workload
+   exits 2. *)
+let source_arg ~workload_doc =
+  let workload =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "workload" ] ~docv:"NAME" ~doc:workload_doc)
+  in
+  let file =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:file_doc)
+  in
+  let resolve workload file () =
+    match (workload, file) with
+    | Some w, None -> (
+        match Workloads.Registry.by_name w with
+        | Some wl -> (w, wl.Workloads.Registry.w_source)
+        | None ->
+            Printf.eprintf "unknown workload: %s\n" w;
+            exit 2)
+    | None, Some f -> (f, read_input f)
+    | Some _, Some _ ->
+        Printf.eprintf "give either FILE or --workload, not both\n";
+        exit 2
+    | None, None ->
+        Printf.eprintf "a FILE argument or --workload is required\n";
+        exit 2
+  in
+  Term.(const resolve $ workload $ file)
 
 let machine_arg =
   let doc = "Machine model: sparc2, sparc10 or pentium90." in
@@ -94,6 +127,20 @@ let analysis_arg =
     & opt analysis_conv Gcsafe.Mode.A_flow
     & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
 
+(* the multi-variant --analysis of stress and profile: 'both' runs each *)
+let analyses_conv =
+  let parse = function
+    | "none" -> Ok [ Gcsafe.Mode.A_none ]
+    | "flow" -> Ok [ Gcsafe.Mode.A_flow ]
+    | "both" -> Ok [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
+    | s -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
+  in
+  let print fmt a =
+    Format.pp_print_string fmt
+      (String.concat "," (List.map Gcsafe.Mode.analysis_to_string a))
+  in
+  Arg.conv (parse, print)
+
 let gc_mode_conv =
   let parse s =
     match Gcheap.Heap.gc_mode_of_string s with
@@ -116,6 +163,24 @@ let gc_mode_arg =
     value
     & opt gc_mode_conv Gcheap.Heap.Stw
     & info [ "gc-mode" ] ~docv:"MODE" ~doc)
+
+let gc_threshold_arg =
+  let doc = "Allocation volume (bytes) between automatic collections." in
+  Arg.(
+    value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
+
+let pause_budget_arg doc =
+  Arg.(
+    value & opt (some int) None & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
+
+let nursery_pages_arg =
+  let doc =
+    "Bump-allocated nursery budget in pages for the generational and \
+     incremental modes; values below 1 are raised to 1.  Ignored with \
+     --gc-mode stw."
+  in
+  Arg.(
+    value & opt (some int) None & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
 
 let handle_errors = Harness.Diagnostics.handle
 
@@ -206,16 +271,11 @@ let annotate_cmd =
     in
     Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
   in
-  let workload_arg =
-    let doc =
-      "Annotate a registered workload (cordtest, cfrac, gawk, gs, ...) \
-       instead of a FILE."
-    in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  let source_arg =
+    source_arg
+      ~workload_doc:
+        "Annotate a registered workload (cordtest, cfrac, gawk, gs, ...) \
+         instead of a FILE."
   in
   (* one JSON object on one line: the CI regression guard jq-parses it *)
   let stats_json ~source_name ~mode ~analysis (r : Gcsafe.Annotate.result) =
@@ -249,24 +309,9 @@ let annotate_cmd =
     ^ "}"
   in
   let run mode analysis naive heuristic calls_only heapness base_stores patch
-      stats stats_out workload file =
+      stats stats_out source =
     handle_errors (fun () ->
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
         let ast = Csyntax.Parser.parse_program src in
         let opts =
           {
@@ -309,7 +354,7 @@ let annotate_cmd =
     Term.(
       const run $ mode_arg $ analysis_arg $ naive_arg $ heuristic_arg
       $ calls_only_arg $ heapness_arg $ base_stores_arg $ patch_arg $ stats_arg
-      $ stats_out_arg $ workload_arg $ opt_file_arg)
+      $ stats_out_arg $ source_arg)
 
 (* --- check ---------------------------------------------------------------- *)
 
@@ -401,32 +446,11 @@ let run_cmd =
     let doc = "Run the heap-integrity sanitizer after every collection." in
     Arg.(value & flag & info [ "check-integrity" ] ~doc)
   in
-  let threshold_arg =
-    let doc = "Allocation volume (bytes) between automatic collections." in
-    Arg.(
-      value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
-  in
   let pause_budget_arg =
-    let doc =
+    pause_budget_arg
       "Incremental-mode pause budget: words of collector work per marking \
        increment (the deterministic VM-tick clock).  Implies a one-line \
        increment summary on stderr.  Only meaningful with --gc-mode inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
-  in
-  let nursery_pages_arg =
-    let doc =
-      "Bump-allocated nursery budget in pages for the generational and \
-       incremental modes (0 disables the nursery and restores legacy \
-       shared-page young allocation).  Ignored with --gc-mode stw."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
   in
   let stats_arg =
     let doc = "Print cycle/instruction/GC statistics to stderr." in
@@ -447,36 +471,15 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let workload_arg =
-    let doc = "Run a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  let source_arg =
+    source_arg ~workload_doc:"Run a registered workload instead of a FILE."
   in
   let run config machine analysis gc_mode gc_threshold gc_pause_budget
       nursery_pages async gc_at gc_at_allocs integrity max_instrs max_heap
-      heap_limit oom_policy alloc_fail stats trace metrics no_cache workload
-      file =
+      heap_limit oom_policy alloc_fail stats trace metrics no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> wl.Workloads.Registry.w_source
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> read_input f
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let _, src = source () in
         let tracer = Option.map (fun _ -> Telemetry.Trace.create ()) trace in
         let telemetry =
           if trace <> None || metrics then
@@ -563,11 +566,10 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ nursery_pages_arg $ async_arg
+      $ gc_threshold_arg $ pause_budget_arg $ nursery_pages_arg $ async_arg
       $ gc_at_arg $ gc_at_allocs_arg $ integrity_arg $ max_instrs_arg
       $ max_heap_arg $ heap_limit_arg $ oom_policy_arg $ alloc_fail_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ no_cache_arg $ workload_arg
-      $ opt_file_arg)
+      $ stats_arg $ trace_arg $ metrics_arg $ no_cache_arg $ source_arg)
 
 (* --- ir --------------------------------------------------------------------- *)
 
@@ -649,19 +651,9 @@ let stress_cmd =
        default), 'none', or 'both' to cross-check analysis-pruned builds \
        against fully-annotated ones under every schedule."
     in
-    let parse = function
-      | "none" -> Ok [ Gcsafe.Mode.A_none ]
-      | "flow" -> Ok [ Gcsafe.Mode.A_flow ]
-      | "both" -> Ok [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
-      | s -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map Gcsafe.Mode.analysis_to_string a))
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) [ Gcsafe.Mode.A_flow ]
+      & opt analyses_conv [ Gcsafe.Mode.A_flow ]
       & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
   in
   let trace_dir_arg =
@@ -718,16 +710,6 @@ let stress_cmd =
   let chaos_points_arg =
     let doc = "Allocation ordinals swept per subject in --chaos mode." in
     Arg.(value & opt int 64 & info [ "chaos-points" ] ~docv:"N" ~doc)
-  in
-  let nursery_pages_arg =
-    let doc =
-      "Nursery size in pages applied to every subject in the matrix (0 \
-       disables the bump nursery; only the gen/inc subjects are affected)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
   in
   let run machines analyses gc_modes every at_allocs exhaustive cap max_instrs
       max_heap nursery_pages trace_dir chaos chaos_seed chaos_points jobs
@@ -833,19 +815,9 @@ let profile_cmd =
        what the pruned KEEP_LIVE annotations cost or save in retained \
        garbage."
     in
-    let parse = function
-      | "none" -> Ok [ Gcsafe.Mode.A_none ]
-      | "flow" -> Ok [ Gcsafe.Mode.A_flow ]
-      | "both" -> Ok [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
-      | s -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map Gcsafe.Mode.analysis_to_string a))
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
+      & opt analyses_conv [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
       & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
   in
   let json_arg =
@@ -860,34 +832,14 @@ let profile_cmd =
     in
     Arg.(value & opt int 2048 & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
   in
-  let workload_arg =
-    let doc = "Profile a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  let source_arg =
+    source_arg ~workload_doc:"Profile a registered workload instead of a FILE."
   in
   let run config machine analyses gc_mode json threshold max_instrs max_heap
-      no_cache workload file =
+      no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
         (* per-function KEEP_LIVE survivors, for the annotation column of
            the drag table (preprocessed configurations only) *)
         let keep_lives_by_func analysis =
@@ -982,7 +934,7 @@ let profile_cmd =
     Term.(
       const run $ config_arg $ machine_arg $ analyses_arg $ gc_mode_arg
       $ json_arg $ threshold_arg $ max_instrs_arg $ max_heap_arg
-      $ no_cache_arg $ workload_arg $ opt_file_arg)
+      $ no_cache_arg $ source_arg)
 
 (* --- trace-check ------------------------------------------------------------- *)
 
@@ -1023,59 +975,19 @@ let heap_census_cmd =
     let doc = "Emit the censuses as one JSON document instead of tables." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let threshold_arg =
-    let doc = "Allocation volume (bytes) between automatic collections." in
-    Arg.(
-      value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
-  in
   let pause_budget_arg =
-    let doc =
+    pause_budget_arg
       "Incremental-mode pause budget (words per increment); only meaningful \
        with --gc-mode inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
   in
-  let nursery_pages_arg =
-    let doc =
-      "Bump-allocated nursery budget in pages (0 disables the nursery); \
-       only meaningful with --gc-mode gen or inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
-  in
-  let workload_arg =
-    let doc = "Census a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  let source_arg =
+    source_arg ~workload_doc:"Census a registered workload instead of a FILE."
   in
   let run config machine analysis gc_mode gc_threshold gc_pause_budget
-      nursery_pages heap_limit oom_policy json no_cache workload file =
+      nursery_pages heap_limit oom_policy json no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
         let req =
           Harness.Request.make ~config ~machine ~analysis ~gc_mode
             ~final_collect:true ?gc_threshold ?gc_pause_budget ?nursery_pages
@@ -1130,8 +1042,8 @@ let heap_census_cmd =
     (Cmd.info "heap-census" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ nursery_pages_arg $ heap_limit_arg
-      $ oom_policy_arg $ json_arg $ no_cache_arg $ workload_arg $ opt_file_arg)
+      $ gc_threshold_arg $ pause_budget_arg $ nursery_pages_arg
+      $ heap_limit_arg $ oom_policy_arg $ json_arg $ no_cache_arg $ source_arg)
 
 (* --- tables ------------------------------------------------------------------ *)
 

@@ -80,7 +80,7 @@ type config = {
   mutable nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
           heap may open between collections before a minor cycle is due;
-          [0] disables the nursery (legacy shared-page allocation) *)
+          {!create} raises anything below 1 to 1 *)
 }
 
 type stats = {
@@ -199,6 +199,7 @@ let default_config () =
   }
 
 let create ?(config = default_config ()) () =
+  config.nursery_pages <- max 1 config.nursery_pages;
   {
     mem = Mem.create ();
     map = Page_map.create ();
@@ -251,9 +252,7 @@ let create ?(config = default_config ()) () =
 (** Is the bump-pointer nursery in service?  Only the generational and
     incremental modes segregate generations; stop-the-world heaps keep
     the seed allocator bit for bit. *)
-let nursery_enabled t =
-  t.config.nursery_pages > 0
-  && (t.config.generational || t.config.incremental)
+let nursery_enabled t = t.config.generational || t.config.incremental
 
 let add_root_range t start stop = t.roots <- (start, stop) :: t.roots
 
@@ -324,16 +323,13 @@ let gray_old_value t v =
                 :: t.gray
           end)
 
-(** The store write-barrier: record writes that land inside old
-    collectable objects so their pages are rescanned by the next minor
-    collection.  Stores anywhere else need no card — young objects are
-    scanned by every minor anyway, and stacks, statics and registers are
-    roots — and filtering them out matters: young and old slots share
-    pages, so an unfiltered barrier would drag the old slots of every
-    freshly-initialized page into every minor.  Writes that survive
-    inside an object promoted later are covered by promotion dirtying
-    the promoted slot's pages.  A single branch when generational mode
-    is off; charges no VM cycles either way. *)
+(** The store write-barrier: record writes that land on old-generation
+    collectable pages so those pages are rescanned by the next minor
+    collection.  Young (nursery) pages need no card — every minor scans
+    the whole nursery — and stacks, statics and registers are roots.
+    Writes that survive inside an object promoted later are covered by
+    promotion dirtying the promoted slot's pages.  A single branch when
+    generational mode is off; charges no VM cycles either way. *)
 let note_store t addr len =
   (* SATB shading runs first: the generational branch below never writes
      memory, but keeping the read of the doomed old values ahead of any
@@ -349,44 +345,20 @@ let note_store t addr len =
        a := !a + 8
      done
    end);
-  if t.config.generational && len > 0 then begin
-    let last = addr + len - 1 in
-    if nursery_enabled t then
-      (* page-segregated generations make the barrier a page-kind test:
-         young pages never need cards (every minor scans the whole
-         nursery), and any other collectable page the write touches is
-         dirtied outright — no slot or age resolution, and straddling
-         (cross-object) writes are covered by construction because every
-         touched page gets its card.  Over-dirtying a page whose old
-         block holds a reused young slot is merely conservative:
-         [recompute_cards] cleans it at the next collection. *)
-      for p = page_index addr to page_index last do
-        match Page_map.find t.map (p lsl Mem.page_bits) with
-        | Some blk when Block.collectable blk && not blk.Block.blk_young ->
-            mark_page_dirty t p
-        | Some _ | None -> ()
-      done
-    else begin
-      let dirty_if_old a =
-        match Page_map.find t.map a with
-        | Some blk when Block.collectable blk -> (
-            match Block.slot_of_addr blk a with
-            | Some i when Block.is_allocated blk i && is_old t blk i ->
-                mark_page_dirty t (page_index a)
-            | Some _ | None -> ())
-        | Some _ | None -> ()
-      in
-      (* probe the first and last written byte, and the head of every
-         page the write crosses — including the last page's head, so a
-         store that straddles objects across a page boundary still
-         dirties a page whose old object it touched mid-page *)
-      dirty_if_old addr;
-      if last <> addr then dirty_if_old last;
-      for p = page_index addr + 1 to page_index last do
-        dirty_if_old (p lsl Mem.page_bits)
-      done
-    end
-  end
+  if t.config.generational && len > 0 then
+    (* page-segregated generations make the barrier a page-kind test:
+       any non-young collectable page the write touches is dirtied
+       outright — no slot or age resolution, and straddling
+       (cross-object) writes are covered by construction because every
+       touched page gets its card.  Over-dirtying a page whose old block
+       holds a reused young slot is merely conservative:
+       [recompute_cards] cleans it at the next collection. *)
+    for p = page_index addr to page_index (addr + len - 1) do
+      match Page_map.find t.map (p lsl Mem.page_bits) with
+      | Some blk when Block.collectable blk && not blk.Block.blk_young ->
+          mark_page_dirty t p
+      | Some _ | None -> ()
+    done
 
 (** Age of the allocated object at [addr] in minor collections survived
     ([None] outside allocated objects). *)
@@ -667,23 +639,20 @@ let retire_dead_young t =
     collector calls this when a cycle completes — its sliced sweep has
     no minor-cycle aging, so a finished cycle tenures what survived. *)
 let flush_nursery t =
-  if nursery_enabled t then begin
-    retire_dead_young t;
-    let survivors = t.young_blocks in
-    List.iter
-      (fun blk ->
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then begin
-            t.stats.promoted <- t.stats.promoted + 1;
-            if t.config.generational then begin
-              Block.set_age blk i t.config.promote_after;
-              dirty_slot_pages t blk i
-            end
+  retire_dead_young t;
+  List.iter
+    (fun blk ->
+      for i = 0 to blk.Block.blk_count - 1 do
+        if Block.is_allocated blk i then begin
+          t.stats.promoted <- t.stats.promoted + 1;
+          if t.config.generational then begin
+            Block.set_age blk i t.config.promote_after;
+            dirty_slot_pages t blk i
           end
-        done;
-        promote_young_block t blk)
-      survivors
-  end
+        end
+      done;
+      promote_young_block t blk)
+    t.young_blocks
 
 let sweep ?(minor = false) t =
   let freed = ref 0 and freed_bytes = ref 0 in
@@ -729,10 +698,11 @@ let sweep ?(minor = false) t =
           end
       done
   in
-  if minor && nursery_enabled t then begin
+  if minor then begin
     (* segregated generations let a minor sweep touch only the blocks
        where young objects can live: the nursery pages themselves plus
-       old blocks holding reused (age-restarted) slots *)
+       old blocks holding reused (age-restarted) slots and young large
+       objects *)
     let young = t.young_blocks in
     List.iter sweep_block young;
     List.iter sweep_block t.aging_blocks;
@@ -846,8 +816,9 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
   (* every completed collection seals the bump cursors (cohort pages must
      not mix allocation windows) and returns dead nursery pages to the
      pool, so emergency and forced full cycles always leave the nursery
-     in a state the next cycle can parse *)
-  if nursery_enabled t then retire_dead_young t;
+     in a state the next cycle can parse; a no-op on stop-the-world
+     heaps, which never open a nursery page *)
+  retire_dead_young t;
   if t.config.generational then recompute_cards t;
   (* Boehm-style live-growth trigger: a major collection is due when the
      heap has *grown* by [gc_threshold] bytes, so bytes a minor cycle
@@ -861,13 +832,13 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
 let should_collect t = t.since_gc >= t.config.gc_threshold
 
 (** Should the allocator trigger a minor collection?  Never true outside
-    generational mode.  With the nursery in service, filling the
-    configured number of nursery pages is also a trigger: the minor cost
-    tracks nursery occupancy, not just bytes. *)
+    generational mode.  Filling the configured number of nursery pages
+    is also a trigger: the minor cost tracks nursery occupancy, not just
+    bytes. *)
 let should_collect_minor t =
   t.config.generational
   && (t.since_minor >= t.config.minor_threshold
-     || (nursery_enabled t && t.nursery_opened >= t.config.nursery_pages))
+     || t.nursery_opened >= t.config.nursery_pages)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation (under the heap ceiling)                                 *)
@@ -1060,11 +1031,10 @@ let alloc_large t ~req bytes kind =
      unconditionally (they cannot hold the only path to snapshot-live
      data, and the sliced sweeper must not free them) *)
   if t.phase <> Idle then Block.set_marked blk 0 true;
-  (* large objects live outside the nursery but are born young: with the
-     segregated minor sweep, their block must join the aging set so
-     minors can age and promote them *)
-  if t.config.generational && nursery_enabled t && not blk.Block.blk_aging
-  then begin
+  (* large objects live outside the nursery but are born young: their
+     block must join the aging set so the segregated minor sweep can age
+     and promote them *)
+  if t.config.generational && not blk.Block.blk_aging then begin
     blk.Block.blk_aging <- true;
     t.aging_blocks <- blk :: t.aging_blocks
   end;
@@ -1094,7 +1064,7 @@ let open_young_block t cls kind start =
    any new page is opened — reuse keeps segregation from costing
    footprint — and only then is a fresh young page claimed (reclaim pool
    first, then growth under the ceiling, with the same collect-expand
-   fallback as the legacy path). *)
+   fallback as the free-list path). *)
 let rec alloc_nursery t ~req cls kind =
   match Hashtbl.find_opt t.nursery_cursors (cls, kind) with
   | Some blk when blk.Block.blk_bump < blk.Block.blk_count ->

@@ -76,7 +76,7 @@ type config = {
   mutable nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
           heap may open between collections before a minor cycle is due;
-          [0] disables the nursery (legacy shared-page allocation) *)
+          {!create} raises anything below 1 to 1 *)
 }
 
 type stats = {
@@ -188,11 +188,12 @@ exception Heap_exhausted of string
 val default_config : unit -> config
 
 val create : ?config:config -> unit -> t
+(** A fresh, empty heap.  Clamps [config.nursery_pages] to at least 1. *)
 
 val nursery_enabled : t -> bool
 (** Is the bump-pointer nursery in service?  True on generational and
-    incremental heaps with [config.nursery_pages > 0]; always false on
-    stop-the-world heaps, which keep the seed allocator bit for bit. *)
+    incremental heaps; always false on stop-the-world heaps, which keep
+    the seed allocator bit for bit. *)
 
 val flush_nursery : t -> unit
 (** Close out the nursery: wholly dead young pages return to the reclaim
@@ -229,12 +230,12 @@ val extent_of : t -> int -> (int * int) option
     allocated object. *)
 
 val note_store : t -> int -> int -> unit
-(** [note_store t addr len]: the store write-barrier.  When the write
-    lands inside an old collectable object, records its pages in the
-    remembered set so the next minor cycle rescans them; writes to young
-    objects, stacks, statics and registers need no card (minors scan all
-    of those anyway).  A single branch (and no allocation) when the heap
-    is not generational. *)
+(** [note_store t addr len]: the store write-barrier.  Records every
+    old-generation collectable page the write touches in the remembered
+    set so the next minor cycle rescans it; writes to nursery pages,
+    stacks, statics and registers need no card (minors scan all of those
+    anyway).  A single branch (and no allocation) when the heap is not
+    generational. *)
 
 val page_is_dirty : t -> int -> bool
 (** Is the card (page) holding [addr] in the remembered set? *)
@@ -273,7 +274,8 @@ val should_collect : t -> bool
 
 val should_collect_minor : t -> bool
 (** Has the allocation volume since any collection crossed the minor
-    threshold?  Always [false] outside generational mode. *)
+    threshold, or have [config.nursery_pages] nursery pages been opened?
+    Always [false] outside generational mode. *)
 
 val collect :
   ?generation:generation ->

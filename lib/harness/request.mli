@@ -30,8 +30,8 @@ type t = {
           SLO layer also reads this as the per-request pause SLO. *)
   nursery_pages : int option;
       (** bump-allocated nursery budget in pages for the generational
-          and incremental modes; [Some 0] disables the nursery (legacy
-          shared-page young allocation), [None] keeps the VM default.
+          and incremental modes, at least 1 (the heap raises [Some 0]
+          and negative budgets to 1); [None] keeps the VM default.
           Ignored — like the rest of the generational machinery — in
           stop-the-world mode. *)
   max_instrs : int option;

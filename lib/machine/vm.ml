@@ -65,8 +65,8 @@ type config = {
   vm_nursery_pages : int;
       (** bump-allocated nursery pages a generational or incremental
           heap may open between collections before a minor cycle is due
-          ([0] disables the nursery — legacy shared-page allocation);
-          ignored in stop-the-world mode *)
+          (at least 1: the heap raises smaller values to 1); ignored in
+          stop-the-world mode *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
       (** arena footprint ceiling; exceeding it raises [Trap] *)
@@ -465,7 +465,7 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   heap_config.Gcheap.Heap.incremental <- cfg.vm_gc_mode = Gcheap.Heap.Inc;
   heap_config.Gcheap.Heap.pause_budget_words <- max 1 cfg.vm_gc_pause_budget;
   heap_config.Gcheap.Heap.minor_threshold <- max 1024 (cfg.vm_gc_threshold / 8);
-  heap_config.Gcheap.Heap.nursery_pages <- max 0 cfg.vm_nursery_pages;
+  heap_config.Gcheap.Heap.nursery_pages <- cfg.vm_nursery_pages;
   heap_config.Gcheap.Heap.heap_limit_words <- cfg.vm_heap_limit_words;
   heap_config.Gcheap.Heap.oom_policy <- cfg.vm_oom_policy;
   let heap = Gcheap.Heap.create ~config:heap_config () in

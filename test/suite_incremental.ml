@@ -241,10 +241,8 @@ let prop_modes_identical =
   QCheck.Test.make ~count:20
     ~name:
       "random programs: stw == gen == inc under schedule and nursery sweeps"
-    QCheck.(pair Testgen.arbitrary_program (int_bound 6))
+    QCheck.(pair Testgen.arbitrary_program (int_range 1 6))
     (fun (src, nursery_pages) ->
-      (* 0 disables the bump nursery, so the sweep also pins the legacy
-         shared-page young allocator to the same outputs *)
       List.for_all
         (fun schedule ->
           let base = digest Gcheap.Heap.Stw ~budget:64 ~schedule src in

@@ -1,7 +1,8 @@
 (* The page-segregated bump nursery: bump allocation, cohort promotion,
    reclaim-pool recycling with card hygiene, age hygiene across
-   free/realloc, straddling-store remembered-set completeness, and
-   qcheck invariants over random scripts and nursery sizes. *)
+   free/realloc, straddling-store remembered-set completeness, the
+   one-page floor on the nursery budget, and qcheck invariants over
+   random scripts and nursery sizes. *)
 
 open Gcheap
 
@@ -181,8 +182,8 @@ let test_age_resets_on_realloc () =
 (* One store covering a multi-page old object: every touched page's card
    must go dirty, in particular the last page — where the only
    old-to-young pointer lives. *)
-let straddling_store_scenario nursery_pages =
-  let h = nursery_heap ~nursery_pages () in
+let test_straddling_store () =
+  let h = nursery_heap () in
   let o = Heap.alloc h (3 * Mem.page_size) in
   let base, sz =
     match Heap.extent_of h o with
@@ -209,9 +210,71 @@ let straddling_store_scenario nursery_pages =
     (Heap.valid_access h y 24);
   no_violations "integrity clean after the minor" h
 
-let test_straddling_store_nursery () = straddling_store_scenario 8
+(* --- satellite: the nursery budget's floor ------------------------------ *)
 
-let test_straddling_store_legacy () = straddling_store_scenario 0
+(* A budget below one page is raised to one page: a request asking for 0
+   or a negative budget runs exactly like one asking for 1 under gen —
+   same output, cycles and collections, minors included. *)
+let floor_source =
+  {|struct node { long v; struct node *next; };
+int main(void) {
+  struct node *keep = 0;
+  long sum = 0;
+  long i;
+  for (i = 0; i < 3000; i++) {
+    struct node *n = (struct node *)malloc(sizeof(struct node));
+    n->v = i;
+    if (i % 7 == 0) { n->next = keep; keep = n; }
+    sum += n->v;
+  }
+  while (keep) { sum += keep->v; keep = keep->next; }
+  printf("%ld\n", sum);
+  return 0;
+}
+|}
+
+let run_gen_request nursery_pages =
+  let req =
+    match
+      Harness.Request.of_json
+        (Telemetry.Json.Obj
+           [
+             ("source", Telemetry.Json.Str floor_source);
+             ("gc_mode", Telemetry.Json.Str "gen");
+             ("nursery_pages", Telemetry.Json.Int nursery_pages);
+           ])
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let b =
+    Harness.Build.compile
+      ~options:(Harness.Request.build_options req)
+      req.Harness.Request.config req.Harness.Request.source
+  in
+  let metrics = Telemetry.Metrics.create () in
+  match
+    Harness.Measure.exec ~telemetry:(Telemetry.Sink.make ~metrics ()) req b
+  with
+  | Harness.Measure.Ran r ->
+      let minors =
+        match
+          Telemetry.Metrics.find
+            (Telemetry.Metrics.snapshot metrics)
+            "vm/gc/minor/collections"
+        with
+        | Some (Telemetry.Metrics.Counter n) -> n
+        | _ -> 0
+      in
+      Printf.sprintf "%s|cycles=%d|gcs=%d|minors=%d" r.Harness.Measure.o_output
+        r.Harness.Measure.o_cycles r.Harness.Measure.o_gc_count minors
+  | o -> Alcotest.fail (Harness.Measure.describe o)
+
+let test_nursery_floor () =
+  let one = run_gen_request 1 in
+  Alcotest.(check string) "nursery_pages 0 runs like 1" one (run_gen_request 0);
+  Alcotest.(check string) "nursery_pages -3 runs like 1" one
+    (run_gen_request (-3))
 
 (* --- qcheck invariants ------------------------------------------------- *)
 
@@ -223,7 +286,7 @@ let prop_nursery_equivalence =
   QCheck.Test.make ~count:40
     ~name:"nursery scripts: invariants hold and stw live set is preserved"
     QCheck.(
-      pair (int_bound 4)
+      pair (int_range 1 4)
         (list_of_size Gen.(int_range 1 80)
            (triple (int_range 1 300) bool bool)))
     (fun (nursery_pages, spec) ->
@@ -276,8 +339,8 @@ let suite =
     Alcotest.test_case "age restarts at zero across free/realloc" `Quick
       test_age_resets_on_realloc;
     Alcotest.test_case "straddling store dirties the last page (nursery)"
-      `Quick test_straddling_store_nursery;
-    Alcotest.test_case "straddling store dirties the last page (legacy)"
-      `Quick test_straddling_store_legacy;
+      `Quick test_straddling_store;
+    Alcotest.test_case "nursery budget below one page runs as one page"
+      `Quick test_nursery_floor;
     QCheck_alcotest.to_alcotest prop_nursery_equivalence;
   ]
