@@ -81,6 +81,127 @@ let test_assert_integrity_raises () =
   | exception Heap.Heap_corruption [] ->
       Alcotest.fail "corruption with no violations"
 
+(* --- sanitizer: exact reports ------------------------------------------ *)
+
+(* Each case corrupts one structure and pins the full (rule, detail) list,
+   in order, so a faster sanitizer must report the same words. *)
+
+let findings h =
+  List.map (fun v -> (v.Heap.v_rule, v.Heap.v_detail)) (Heap.check_integrity h)
+
+let check_findings name expected h =
+  Alcotest.(check (list (pair string string))) name expected (findings h)
+
+(* A heap with one live 16-byte object; returns the heap, the object's
+   block and that block's free list (the rest of the block's slots). *)
+let one_object_heap () =
+  let h = fresh () in
+  let a = Heap.alloc h 16 in
+  let blk = block_of h a in
+  let fl =
+    Hashtbl.find h.Heap.free_lists (blk.Block.blk_obj_size, blk.Block.blk_kind)
+  in
+  (h, blk, fl)
+
+let test_exact_duplicate_entry () =
+  let h, _, fl = one_object_heap () in
+  let s = List.hd !fl in
+  fl := s :: !fl;
+  check_findings "duplicate"
+    [ ("free-list", Printf.sprintf "slot %#x appears on a free list twice" s) ]
+    h
+
+let test_exact_off_heap_entry () =
+  let h, _, fl = one_object_heap () in
+  fl := 0x10 :: !fl;
+  check_findings "off-heap" [ ("free-list", "entry 0x10 is not on a heap page") ] h
+
+let test_exact_interior_entry () =
+  let h, _, fl = one_object_heap () in
+  let s = List.hd !fl + 8 in
+  (* listed twice: the second sighting is a duplicate, checked off-slot *)
+  fl := s :: s :: !fl;
+  check_findings "interior"
+    [
+      ("free-list", Printf.sprintf "entry %#x is not a slot base" s);
+      ("free-list", Printf.sprintf "slot %#x appears on a free list twice" s);
+      ("free-list", Printf.sprintf "entry %#x is not a slot base" s);
+    ]
+    h
+
+let test_exact_wrong_class () =
+  let h, blk, fl = one_object_heap () in
+  let big = block_of h (Heap.alloc h 100) in
+  let cls = big.Block.blk_obj_size in
+  let other = Hashtbl.find h.Heap.free_lists (cls, Block.Normal) in
+  let s = List.hd !fl in
+  fl := List.tl !fl;
+  other := s :: !other;
+  check_findings "wrong class"
+    [
+      ( "free-list",
+        Printf.sprintf
+          "entry %#x on the %d-byte list, but its block holds %d-byte objects"
+          s cls blk.Block.blk_obj_size );
+    ]
+    h
+
+let test_exact_nursery_entry () =
+  let config = Heap.default_config () in
+  config.Heap.generational <- true;
+  let h = Heap.create ~config () in
+  let a = Heap.alloc h 16 in
+  let blk = block_of h a in
+  Alcotest.(check bool) "young block" true blk.Block.blk_young;
+  (* a slot past the bump cursor, never allocated *)
+  let s = Block.slot_addr blk (blk.Block.blk_count - 1) in
+  let fl = Heap.free_list h blk.Block.blk_obj_size blk.Block.blk_kind in
+  fl := s :: !fl;
+  check_findings "nursery page"
+    [ ("free-list", Printf.sprintf "entry %#x lies on a nursery page" s) ]
+    h
+
+let test_exact_slot_on_no_list () =
+  let h, _, fl = one_object_heap () in
+  let s = List.hd !fl in
+  fl := List.tl !fl;
+  check_findings "lost slot"
+    [ ("free-list", Printf.sprintf "free slot %#x is on no free list" s) ]
+    h
+
+let test_exact_stray_block () =
+  let h, _, _ = one_object_heap () in
+  let start = Mem.limit h.Heap.mem + (4 * Mem.page_size) in
+  Page_map.set_block h.Heap.map
+    (Block.make ~start ~pages:2 ~obj_size:(2 * Mem.page_size) ~count:1
+       ~kind:Block.Normal);
+  check_findings "stray"
+    [
+      ( "page-map",
+        Printf.sprintf "stray block %#x registered in the page map" start );
+    ]
+    h
+
+let test_exact_stray_over_known_page () =
+  (* the stray block covers the second page of a known large block, so
+     the mapped-page count still adds up: only the page-map violation
+     tells the sanitizer to look for strays *)
+  let h = fresh () in
+  let large = block_of h (Heap.alloc h 5000) in
+  let start = large.Block.blk_start + Mem.page_size in
+  Page_map.set_block h.Heap.map
+    (Block.make ~start ~pages:1 ~obj_size:Mem.page_size ~count:1
+       ~kind:Block.Normal);
+  check_findings "stray over a known page"
+    [
+      ( "page-map",
+        Printf.sprintf "page %#x of block %#x maps to block %#x" start
+          large.Block.blk_start start );
+      ( "page-map",
+        Printf.sprintf "stray block %#x registered in the page map" start );
+    ]
+    h
+
 (* qcheck: integrity holds across arbitrary alloc/collect interleavings *)
 
 let prop_integrity_under_interleavings =
@@ -355,6 +476,22 @@ let suite =
       test_detects_slack_violation;
     Alcotest.test_case "integrity: assert raises" `Quick
       test_assert_integrity_raises;
+    Alcotest.test_case "integrity exact: duplicate entry" `Quick
+      test_exact_duplicate_entry;
+    Alcotest.test_case "integrity exact: off-heap entry" `Quick
+      test_exact_off_heap_entry;
+    Alcotest.test_case "integrity exact: interior entry" `Quick
+      test_exact_interior_entry;
+    Alcotest.test_case "integrity exact: wrong size class" `Quick
+      test_exact_wrong_class;
+    Alcotest.test_case "integrity exact: nursery-page entry" `Quick
+      test_exact_nursery_entry;
+    Alcotest.test_case "integrity exact: free slot on no list" `Quick
+      test_exact_slot_on_no_list;
+    Alcotest.test_case "integrity exact: stray block" `Quick
+      test_exact_stray_block;
+    Alcotest.test_case "integrity exact: stray over a known page" `Quick
+      test_exact_stray_over_known_page;
     QCheck_alcotest.to_alcotest prop_integrity_under_interleavings;
     Alcotest.test_case "vm: step ceiling" `Quick test_step_limit;
     Alcotest.test_case "vm: heap ceiling" `Quick test_heap_limit;
