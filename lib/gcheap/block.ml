@@ -27,6 +27,9 @@ type t = {
       (** one byte per slot: number of minor collections survived; an
           object whose age reaches the heap's promotion threshold is old *)
   blk_req : int array;  (** requested (un-rounded) size per slot *)
+  blk_scratch : Bytes.t;
+      (** one byte per slot for the heap sanitizer's marks; all zero
+          outside a sanitizer pass *)
   mutable blk_young : bool;
       (** nursery block: filled front-to-back by the bump cursor, every
           resident object belongs to the current young cohort *)
@@ -50,6 +53,7 @@ let make ~start ~pages ~obj_size ~count ~kind =
     blk_mark = Bytes.make count '\000';
     blk_age = Bytes.make count '\000';
     blk_req = Array.make count 0;
+    blk_scratch = Bytes.make count '\000';
     blk_young = false;
     blk_bump = 0;
     blk_aging = false;

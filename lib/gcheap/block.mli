@@ -19,6 +19,9 @@ type t = {
   blk_mark : Bytes.t;
   blk_age : Bytes.t;  (** minor collections survived, one byte per slot *)
   blk_req : int array;  (** requested (un-rounded) size per slot *)
+  blk_scratch : Bytes.t;
+      (** one byte per slot for the heap sanitizer's marks; all zero
+          outside a sanitizer pass *)
   mutable blk_young : bool;
       (** nursery block: filled front-to-back by the bump cursor; cleared
           when the page's cohort is promoted into the old generation *)

@@ -4,7 +4,8 @@
     never handed out, so that small integers are never valid addresses.
     Words are 8 bytes, stored little-endian; loads of narrow widths
     sign-extend (the mini-C subset is all-signed, like the paper's
-    workloads).  The arena grows on demand in page-sized steps. *)
+    workloads).  The arena grows on demand in page-sized steps, and its
+    buffer is recycled through {!release}. *)
 
 let page_size = 4096
 
@@ -12,17 +13,44 @@ let page_bits = 12
 
 type t = {
   mutable data : Bytes.t;
-  mutable brk : int;  (** first never-allocated address; grows page-wise *)
+  mutable brk : int;
+      (** first never-allocated address; grows page-wise.  [0] once
+          {!release}d: every access and every growth then faults *)
 }
 
+let initial_pages = 64
+
+(* Each domain keeps one zeroed arena that {!release} parked, for its
+   next {!create}.  Every byte at or above [brk] of a live arena is zero
+   (growth is zero-filled and nothing writes past [brk]), so zeroing
+   [0, brk) on release zeroes the whole buffer. *)
+let spare : Bytes.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let create () =
-  {
-    data = Bytes.make (64 * page_size) '\000';
-    brk = page_size (* skip the null page *);
-  }
+  let cap = initial_pages * page_size in
+  let data =
+    match Domain.DLS.get spare with
+    | Some b when Bytes.length b >= cap ->
+        Domain.DLS.set spare None;
+        b
+    | Some _ | None -> Bytes.make cap '\000'
+  in
+  { data; brk = page_size (* skip the null page *) }
+
+exception Fault of int  (** out-of-arena access *)
+
+let release t =
+  if t.brk > 0 then begin
+    Bytes.fill t.data 0 t.brk '\000';
+    Domain.DLS.set spare (Some t.data);
+    t.data <- Bytes.empty;
+    t.brk <- 0
+  end
 
 (** Highest valid address + 1. *)
 let limit t = t.brk
+
+let capacity t = Bytes.length t.data
 
 let ensure_capacity t wanted =
   if wanted > Bytes.length t.data then begin
@@ -38,13 +66,12 @@ let ensure_capacity t wanted =
 (** Reserve [n] fresh pages; returns their starting address. *)
 let grow_pages t n =
   let addr = t.brk in
+  if addr = 0 then raise (Fault addr);
   t.brk <- t.brk + (n * page_size);
   ensure_capacity t t.brk;
   addr
 
 let in_bounds t addr len = addr >= page_size && addr + len <= t.brk
-
-exception Fault of int  (** out-of-arena access *)
 
 let check t addr len = if not (in_bounds t addr len) then raise (Fault addr)
 

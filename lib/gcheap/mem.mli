@@ -17,14 +17,25 @@ exception Fault of int
     address. *)
 
 val create : unit -> t
-(** A fresh arena with only the (never-accessible) null page reserved. *)
+(** A fresh arena with only the (never-accessible) null page reserved.
+    Takes the calling domain's spare buffer when one is parked. *)
+
+val release : t -> unit
+(** [release t] zeroes the used prefix of [t]'s buffer and parks it as
+    the calling domain's spare (replacing any earlier one) for the next
+    {!create}.  [t] is poisoned: every later access or {!grow_pages}
+    raises {!Fault}.  Releasing twice is a no-op. *)
 
 val limit : t -> int
 (** Highest valid address + 1. *)
 
+val capacity : t -> int
+(** Bytes of the backing buffer ([0] once released); growth within it
+    reallocates nothing. *)
+
 val grow_pages : t -> int -> int
 (** [grow_pages t n] reserves [n] fresh zeroed pages and returns their
-    starting address. *)
+    starting address.  @raise Fault on a released arena. *)
 
 val in_bounds : t -> int -> int -> bool
 (** [in_bounds t addr len]: does [addr, addr+len)] lie inside the arena

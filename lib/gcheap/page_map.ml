@@ -10,9 +10,12 @@ let level2_bits = 10
 
 let level2_size = 1 lsl level2_bits
 
-type t = { mutable top : Block.t option array option array }
+type t = {
+  mutable top : Block.t option array option array;
+  mutable mapped : int;  (** pages that map to a block *)
+}
 
-let create () = { top = Array.make 64 None }
+let create () = { top = Array.make 64 None; mapped = 0 }
 
 let split page =
   let hi = page lsr level2_bits and lo = page land (level2_size - 1) in
@@ -39,6 +42,7 @@ let set_block t (blk : Block.t) =
           t.top.(hi) <- Some l2;
           l2
     in
+    if Option.is_none l2.(lo) then t.mapped <- t.mapped + 1;
     l2.(lo) <- Some blk
   done
 
@@ -47,8 +51,14 @@ let clear_block t (blk : Block.t) =
   for page = first to first + blk.Block.blk_pages - 1 do
     let hi, lo = split page in
     if hi < Array.length t.top then
-      match t.top.(hi) with Some l2 -> l2.(lo) <- None | None -> ()
+      match t.top.(hi) with
+      | Some l2 ->
+          if Option.is_some l2.(lo) then t.mapped <- t.mapped - 1;
+          l2.(lo) <- None
+      | None -> ()
   done
+
+let mapped_pages t = t.mapped
 
 (** The block containing [addr], if [addr] is on a heap page.  Two array
     lookups, no search. *)

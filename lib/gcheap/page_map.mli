@@ -12,6 +12,9 @@ val set_block : t -> Block.t -> unit
 
 val clear_block : t -> Block.t -> unit
 
+val mapped_pages : t -> int
+(** How many pages map to some block. *)
+
 val find : t -> int -> Block.t option
 (** The block containing an address, if it lies on a registered page.  Two
     array lookups, no search. *)

@@ -254,6 +254,9 @@ type lblock = {
   lb_code : code array;
   lb_cost : int array;  (** cycles per instruction on the run's machine *)
   lb_term : term;
+  mutable lb_ctx : string array;
+      (** {!point_context} per instruction pointer, rendered on first
+          use; [[||]] until a collection is forced in this block *)
 }
 
 type lfunc = {
@@ -367,6 +370,7 @@ let lower ~(machine : Machdesc.t) ~profiling (p : program) =
           | Jmp l -> Goto (target l)
           | Br (c, l1, l2) -> Branch (c, target l1, target l2)
           | Ret v -> Return v);
+        lb_ctx = [||];
       }
     in
     {
@@ -628,19 +632,26 @@ let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
 
 (** Where execution currently stands, for reporting a collection point:
-    innermost function, block, and the instruction just executed. *)
+    innermost function, block, and the instruction just executed.  Each
+    (block, ip) is rendered once per run. *)
 let point_context st =
   match st.frames with
   | [] -> "program exit"
   | fr :: _ ->
       let b = fr.fr_block in
-      let where =
-        if fr.fr_ip = 0 then "block entry"
-        else
-          Format.asprintf "after %a" Ir.Instr.pp_instr
-            b.lb_instrs.(fr.fr_ip - 1)
-      in
-      Printf.sprintf "%s, L%d, %s" fr.fr_func.lf_name b.lb_label where
+      let ip = fr.fr_ip in
+      if Array.length b.lb_ctx = 0 then
+        b.lb_ctx <- Array.make (Array.length b.lb_instrs + 1) "";
+      if b.lb_ctx.(ip) = "" then begin
+        let where =
+          if ip = 0 then "block entry"
+          else
+            Format.asprintf "after %a" Ir.Instr.pp_instr b.lb_instrs.(ip - 1)
+        in
+        b.lb_ctx.(ip) <-
+          Printf.sprintf "%s, L%d, %s" fr.fr_func.lf_name b.lb_label where
+      end;
+      b.lb_ctx.(ip)
 
 let forced_collect st =
   let ctx = point_context st in
@@ -1175,7 +1186,9 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   let tl = st.tele in
   let finally () =
     (* faulting and trapping runs still report their step counts, and
-       get a closed trace and a finished profile *)
+       get a closed trace and a finished profile; every run hands its
+       arena back for the domain's next run (no result field points
+       into it) *)
     if tl.tl_on then begin
       Telemetry.Metrics.add tl.tl_steps st.instrs;
       Array.iteri
@@ -1187,9 +1200,10 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
         Telemetry.Heap_profiler.set_tick pr st.instrs;
         Telemetry.Heap_profiler.finish pr
     | None -> ());
-    match tl.tl_trace with
+    (match tl.tl_trace with
     | Some tr -> Telemetry.Trace.end_span tr "vm.run"
-    | None -> ()
+    | None -> ());
+    Gcheap.Mem.release st.heap.Gcheap.Heap.mem
   in
   (match tl.tl_trace with
   | Some tr ->

@@ -285,6 +285,82 @@ let test_stack_overflow () =
         (String.length m >= 5 && String.sub m 0 5 = "stack")
   | _ -> Alcotest.fail "expected stack overflow"
 
+(* Each domain recycles its last run's arena.  A run that dirties its
+   stack and heap and then dies must leave nothing the next run can read:
+   a program reading memory it never wrote behaves as on a fresh arena. *)
+let dirty_src =
+  {|long fill(long *p, long n) {
+  long i;
+  for (i = 0; i < n; i++) p[i] = 1515870810;
+  return n;
+}
+long deep(long d) {
+  long a[64]; long i;
+  for (i = 0; i < 64; i++) a[i] = -1;
+  if (d == 0) { long *q = 0; return *q; }
+  return deep(d - 1) + a[3];
+}
+int main(void) {
+  long k;
+  for (k = 0; k < 20; k++) fill((long *)malloc(40000), 5000);
+  for (k = 0; k < 50; k++) fill((long *)malloc(96), 12);
+  return deep(30);
+}|}
+
+let reader_src =
+  {|long peek(long d) {
+  long a[64]; long i; long s = 0;
+  for (i = 0; i < 64; i++) s = s + a[i];
+  if (d == 0) return s;
+  return s + peek(d - 1);
+}
+int main(void) {
+  long *big = (long *)malloc(120000);
+  long *small = (long *)malloc(96);
+  long i; long s = 0;
+  for (i = 0; i < 15000; i++) s = s + big[i];
+  for (i = 0; i < 12; i++) s = s + small[i];
+  printf("%ld %ld\n", s, peek(20));
+  return 0;
+}|}
+
+let test_arena_reuse_invisible () =
+  let dirty = Util.compile ~disguise:false dirty_src in
+  let reader = Util.compile ~disguise:false reader_src in
+  let summary (r : Machine.Vm.result) =
+    (r.Machine.Vm.r_output, r.Machine.Vm.r_cycles, r.Machine.Vm.r_instrs)
+  in
+  let observed = Alcotest.(triple string int int) in
+  List.iter
+    (fun mode ->
+      let name = Gcheap.Heap.gc_mode_name mode in
+      let config =
+        { (Machine.Vm.default_config ()) with Machine.Vm.vm_gc_mode = mode }
+      in
+      (* a fresh domain has no recycled arena *)
+      let fresh =
+        Domain.join
+        @@ Domain.spawn (fun () -> summary (Machine.Vm.run ~config reader))
+      in
+      Alcotest.(check string) (name ^ ": fresh output") "0 0\n"
+        (let out, _, _ = fresh in
+         out);
+      (match Machine.Vm.run ~config dirty with
+      | exception Machine.Vm.Fault _ -> ()
+      | _ -> Alcotest.failf "%s: the dirty run should fault" name);
+      Alcotest.check observed (name ^ ": after a fault") fresh
+        (summary (Machine.Vm.run ~config reader));
+      (match
+         Machine.Vm.run
+           ~config:{ config with Machine.Vm.vm_max_instrs = 60_000 }
+           dirty
+       with
+      | exception Machine.Vm.Trap (Machine.Vm.Step_limit, _) -> ()
+      | _ -> Alcotest.failf "%s: the dirty run should trap" name);
+      Alcotest.check observed (name ^ ": after a trap") fresh
+        (summary (Machine.Vm.run ~config reader)))
+    [ Gcheap.Heap.Stw; Gcheap.Heap.Gen; Gcheap.Heap.Inc ]
+
 let test_gc_during_run () =
   (* allocation churn forces collections; live data survives *)
   let src =
@@ -475,4 +551,6 @@ let suite =
       test_user_function_shadows_builtin;
     Alcotest.test_case "arity mismatch faults" `Quick test_arity_mismatch;
     Alcotest.test_case "narrow loads sign-extend" `Quick test_narrow_widths;
+    Alcotest.test_case "arena reuse is invisible" `Quick
+      test_arena_reuse_invisible;
   ]

@@ -77,6 +77,53 @@ let test_cstrings () =
   Mem.store_cstring m a "";
   Alcotest.(check string) "empty" "" (Mem.load_cstring m a)
 
+(* --- arena recycling ------------------------------------------------- *)
+
+let expect_fault what f =
+  match f () with
+  | exception Mem.Fault _ -> ()
+  | _ -> Alcotest.failf "%s: expected Mem.Fault" what
+
+let test_release_recycles_zeroed () =
+  (* a fresh domain has no spare parked yet *)
+  Domain.join
+  @@ Domain.spawn (fun () ->
+         let m = Mem.create () in
+         let a = Mem.grow_pages m 200 in
+         Mem.fill m a (200 * Mem.page_size) '\xAB';
+         let cap = Mem.capacity m in
+         Mem.release m;
+         let m2 = Mem.create () in
+         Alcotest.(check int) "the spare is taken" cap (Mem.capacity m2);
+         Alcotest.(check int) "growth starts past the null page" Mem.page_size
+           (Mem.grow_pages m2 ((cap / Mem.page_size) - 1));
+         Alcotest.(check int) "grown to capacity" cap (Mem.limit m2);
+         let a = ref Mem.page_size in
+         while !a < cap do
+           if Mem.load_word m2 !a <> 0 then
+             Alcotest.failf "byte at %#x survived release" !a;
+           a := !a + 8
+         done;
+         Alcotest.(check int) "no second spare" (64 * Mem.page_size)
+           (Mem.capacity (Mem.create ())))
+
+let test_released_arena_faults () =
+  let m = Mem.create () in
+  let a = Mem.grow_pages m 100 in
+  let cap = Mem.capacity m in
+  Mem.store_word m a 7;
+  Mem.release m;
+  Alcotest.(check int) "no limit left" 0 (Mem.limit m);
+  expect_fault "load" (fun () -> Mem.load_word m a);
+  expect_fault "store" (fun () -> Mem.store_word m a 1);
+  expect_fault "fill" (fun () -> Mem.fill m a 8 'x');
+  expect_fault "blit" (fun () -> Mem.blit m ~src:a ~dst:(a + 8) 8);
+  expect_fault "C string" (fun () -> Mem.load_cstring m a);
+  expect_fault "growth" (fun () -> Mem.grow_pages m 1);
+  (* releasing again must not replace the spare with the empty buffer *)
+  Mem.release m;
+  Alcotest.(check int) "spare kept" cap (Mem.capacity (Mem.create ()))
+
 let prop_word_roundtrip =
   QCheck.Test.make ~count:200 ~name:"word store/load round trip"
     QCheck.(int_range (-(1 lsl 60)) (1 lsl 60))
@@ -95,5 +142,9 @@ let suite =
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "fill and blit" `Quick test_fill_blit;
     Alcotest.test_case "C strings" `Quick test_cstrings;
+    Alcotest.test_case "release recycles a zeroed arena" `Quick
+      test_release_recycles_zeroed;
+    Alcotest.test_case "released arena faults" `Quick
+      test_released_arena_faults;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
   ]
