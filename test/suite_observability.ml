@@ -91,7 +91,7 @@ let test_dump_check_rejects_tampering () =
 
 (* --- service: dump and event stream identical across --jobs ------------- *)
 
-let observe_bomb spec jobs =
+let observe_bomb ?(window = 200_000) spec jobs =
   let lines = Buffer.create 1024 in
   Exec.Pool.with_pool ~jobs (fun pool ->
       let t =
@@ -99,7 +99,7 @@ let observe_bomb spec jobs =
           ~events:(fun line ->
             Buffer.add_string lines (Json.to_string line);
             Buffer.add_char lines '\n')
-          ~window:200_000 Gcsafed.default_config
+          ~window Gcsafed.default_config
       in
       List.iter
         (fun (arrival, req) -> Gcsafed.submit ~arrival t req)
@@ -152,6 +152,86 @@ let test_dump_and_stream_jobs_identity () =
       | Some (Json.Float _) | Some (Json.Int _) -> ()
       | _ -> Alcotest.fail "window line missing burn_rate")
     window_lines
+
+(* --- pins: the service dump, the event stream and a VM dump ------------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* The CI bombardment (500 requests, mix all, chaos 10, seed 0) on one
+   worker at the CLI's default window.  The stream's window lines carry
+   absorbed physical build-cache counters, which depend on what the
+   process built before, so a warm-up run fills the cache first. *)
+let test_service_pins () =
+  let spec =
+    {
+      Trafficgen.default_spec with
+      Trafficgen.g_requests = 500;
+      g_seed = 0;
+      g_mix = Trafficgen.All;
+      g_chaos_percent = 10;
+    }
+  in
+  let window = Stream.default_window in
+  ignore (observe_bomb ~window spec 1);
+  let dump, stream = observe_bomb ~window spec 1 in
+  Alcotest.(check string) "service flight dump md5" "6bd5b8410ed4679cb5121e11cab7be69" (md5 (dump ^ "\n"));
+  Alcotest.(check string) "events stream md5" "e928b37ea2751abe4689a1c85b974f79" (md5 stream)
+
+(* The collector and VM events of the unsafe -O hazard build under a
+   collection at every safepoint, in each collector mode: kind, producer
+   timestamp and arguments, in order. *)
+let vm_dump_kinds =
+  [ "gc.begin"; "gc.end"; "gc.step"; "gc.emergency"; "vm.fault"; "vm.trap" ]
+
+let hazard_vm_events gc_mode =
+  let t = Option.get (Stress.Corpus.by_name "hazard") in
+  let src = t.Stress.Corpus.t_source in
+  let req =
+    Request.make ~config:Harness.Build.Base ~machine:Machine.Machdesc.sparc10
+      ~gc_mode ~schedule:(Machine.Schedule.Every 1) src
+  in
+  let built =
+    Harness.Build.compile ~options:(Request.build_options req)
+      Harness.Build.Base src
+  in
+  let recorder = Flight.create () in
+  ignore
+    (Harness.Measure.exec
+       ~telemetry:(Telemetry.Sink.make ~recorder ())
+       req built);
+  List.filter_map
+    (fun e ->
+      if List.mem e.Flight.fr_kind vm_dump_kinds then
+        Some
+          (Printf.sprintf "%s %d %s" e.Flight.fr_kind e.Flight.fr_ts
+             (Json.to_string (Json.Obj e.Flight.fr_args)))
+      else None)
+    (Flight.events recorder)
+
+(* Identical in every mode: each forced collection is a full major
+   cycle, and the tiny heap never starts an incremental one. *)
+let hazard_vm_golden =
+  let gc ts words =
+    [
+      Printf.sprintf "gc.begin %d {\"trigger\":\"forced\",\"gen\":\"major\"}" ts;
+      Printf.sprintf
+        "gc.end %d {\"trigger\":\"forced\",\"gen\":\"major\",\"pause_words\":%d}"
+        ts words;
+    ]
+  in
+  List.concat_map (fun ts -> gc ts (if ts <= 4 then 4 else 6)) [ 1; 2; 3; 4; 5; 6; 7 ]
+  @ [
+      "vm.fault 8 {\"msg\":\"GC safety violation: load of 1 byte(s) at \
+       0x43005 hits unallocated or collected memory\"}";
+    ]
+
+let test_vm_dump_pins () =
+  List.iter
+    (fun mode ->
+      Alcotest.(check (list string))
+        ("hazard -O VM events, " ^ Gcheap.Heap.gc_mode_name mode)
+        hazard_vm_golden (hazard_vm_events mode))
+    [ Gcheap.Heap.Stw; Gcheap.Heap.Gen; Gcheap.Heap.Inc ]
 
 (* --- stream: the window merge law (qcheck) ------------------------------ *)
 
@@ -410,6 +490,8 @@ let suite =
     Alcotest.test_case "sharded counters merge on snapshot" `Quick
       test_sharded_counters_merge_on_snapshot;
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
+    Alcotest.test_case "service dump and stream pins" `Quick test_service_pins;
+    Alcotest.test_case "hazard VM dump pins" `Quick test_vm_dump_pins;
   ]
   @ qsuite [ test_ring_wraparound; test_window_merge_law ]
   @ [
