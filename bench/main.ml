@@ -1476,9 +1476,8 @@ let observability () =
        });
   Service.Gcsafed.shutdown t;
   let ring = Service.Gcsafed.recorder t in
-  let dropped = Telemetry.Flight_recorder.dropped ring in
-  let dump_valid =
-    Telemetry.Flight_recorder.check (Service.Gcsafed.dump t) = Ok ()
+  let dropped = Telemetry.Events.dropped ring in
+  let dump_valid = Telemetry.Events.check (Service.Gcsafed.dump t) = Ok ()
   in
   let phase_sum_ok =
     List.for_all
@@ -1499,7 +1498,7 @@ let observability () =
        [
          ("windows", Telemetry.Json.Int !windows);
          ("events", Telemetry.Json.Int !events);
-         ("recorded", Telemetry.Json.Int (Telemetry.Flight_recorder.recorded ring));
+         ("recorded", Telemetry.Json.Int (Telemetry.Events.recorded ring));
          ("dropped", Telemetry.Json.Int dropped);
          ("burn_rate_present", Telemetry.Json.Bool (!burn_missing = 0));
          ("dump_valid", Telemetry.Json.Bool dump_valid);
@@ -1600,11 +1599,11 @@ let observability () =
           | o -> failwith (Harness.Measure.describe o)
         in
         let off = run () in
-        let recorder = Telemetry.Flight_recorder.create () in
+        let events = Telemetry.Events.create () in
         let metrics = Telemetry.Metrics.create () in
         let on_ =
           run
-            ~telemetry:(Telemetry.Sink.make ~metrics ~recorder ())
+            ~telemetry:(Telemetry.Sink.make ~metrics ~events ())
             ~census:true ()
         in
         Printf.printf "  %-10s %d cycles %s\n" w.Workloads.Registry.w_name off

@@ -26,9 +26,9 @@
    cap).
 
    Parallelism and caching: builds are memoized in a process-wide
-   content-addressed cache (--no-cache rebuilds every time); the stress
-   and tables subcommands fan work out over --jobs worker domains with
-   output byte-identical to --jobs 1. *)
+   content-addressed cache (--no-cache rebuilds every time); the stress,
+   tables, serve and bomb subcommands fan work out over --jobs worker
+   domains with output byte-identical to --jobs 1. *)
 
 open Cmdliner
 
@@ -186,9 +186,9 @@ let handle_errors = Harness.Diagnostics.handle
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel subcommands (stress, tables).  Output is \
-     byte-identical to --jobs 1; the default is the machine's recommended \
-     domain count."
+    "Worker domains for parallel subcommands (stress, tables, serve, bomb). \
+     Output is byte-identical to --jobs 1; the default is the machine's \
+     recommended domain count."
   in
   Arg.(
     value
@@ -480,15 +480,18 @@ let run_cmd =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let _, src = source () in
-        let tracer = Option.map (fun _ -> Telemetry.Trace.create ()) trace in
+        (* unbounded: the trace exports every event of the run *)
+        let events =
+          Option.map (fun _ -> Telemetry.Events.create ~capacity:max_int ()) trace
+        in
         let telemetry =
           if trace <> None || metrics then
-            Some (Telemetry.Sink.make ?trace:tracer ())
+            Some (Telemetry.Sink.make ?events ())
           else Telemetry.Sink.none
         in
         let finish_telemetry () =
-          (match (trace, tracer) with
-          | Some path, Some tr -> Telemetry.Trace.write_file tr path
+          (match (trace, events) with
+          | Some path, Some log -> Telemetry.Events.write_trace log path
           | _ -> ());
           if metrics then
             Format.eprintf "%a@." Telemetry.Metrics.pp
@@ -946,21 +949,17 @@ let trace_check_cmd =
         | Error e ->
             Printf.eprintf "%s: JSON parse error: %s\n" file e;
             exit 2
-        | Ok doc ->
-            if Telemetry.Flight_recorder.is_dump doc then (
-              match Telemetry.Flight_recorder.check doc with
-              | Ok () ->
-                  Printf.printf "%s: valid flight-recorder dump\n" file
-              | Error e ->
-                  Printf.eprintf "%s: invalid flight-recorder dump: %s\n" file
-                    e;
-                  exit 1)
-            else (
-              match Telemetry.Trace.check doc with
-              | Ok () -> Printf.printf "%s: valid trace\n" file
-              | Error e ->
-                  Printf.eprintf "%s: invalid trace: %s\n" file e;
-                  exit 1))
+        | Ok doc -> (
+            let what =
+              match Telemetry.Events.document doc with
+              | Telemetry.Events.Dump -> "flight-recorder dump"
+              | Telemetry.Events.Trace -> "trace"
+            in
+            match Telemetry.Events.check doc with
+            | Ok () -> Printf.printf "%s: valid %s\n" file what
+            | Error e ->
+                Printf.eprintf "%s: invalid %s: %s\n" file what e;
+                exit 1))
   in
   let doc =
     "validate a Chrome trace-event JSON file or a flight-recorder dump \
@@ -1148,17 +1147,46 @@ let with_events_emitter events f =
 let write_flight_dump t ~flight_dump ~unexpected =
   match flight_dump with
   | Some path ->
-      Telemetry.Flight_recorder.write_file (Service.Gcsafed.recorder t) path
+      Telemetry.Events.write_dump (Service.Gcsafed.recorder t) path
   | None ->
       if unexpected > 0 then begin
         let path = "gcsafed-flight.json" in
-        Telemetry.Flight_recorder.write_file (Service.Gcsafed.recorder t)
-          path;
+        Telemetry.Events.write_dump (Service.Gcsafed.recorder t) path;
         Printf.eprintf
           "gcsafec: %d unexpected outcome(s); flight-recorder dump written \
            to %s\n"
           unexpected path
       end
+
+(* The service lifecycle behind serve and bomb, as a term over their
+   shared flags: a service on a --jobs pool streaming --events, fed by
+   [submit] and shut down; [report] prints what the command prints and
+   returns the wall seconds for --json; then the flight dump, and exit 9
+   (internal error) on unexpected outcomes. *)
+let service_term =
+  let run servers queue jobs json_out events window flight_dump ~submit
+      ~report =
+    with_events_emitter events (fun emit ->
+        Exec.Pool.with_pool ~jobs (fun pool ->
+            let t =
+              Service.Gcsafed.create ~pool ?events:emit ~window
+                (service_config servers queue)
+            in
+            submit t;
+            Service.Gcsafed.shutdown t;
+            let r = Service.Gcsafed.report t in
+            let wall_s = report t r in
+            Option.iter (fun path -> write_report_json path t ~wall_s) json_out;
+            let unexpected = r.Service.Gcsafed.rp_unexpected in
+            write_flight_dump t ~flight_dump ~unexpected;
+            if unexpected > 0 then
+              exit
+                (Harness.Diagnostics.exit_code
+                   Harness.Diagnostics.Internal_error)))
+  in
+  Term.(
+    const run $ servers_arg $ queue_arg $ jobs_arg $ report_json_arg
+    $ events_arg $ window_arg $ flight_dump_arg)
 
 let serve_cmd =
   (* resolve {"workload": NAME} / {"example": NAME} source shorthands
@@ -1205,7 +1233,7 @@ let serve_cmd =
                 in
                 Ok (arrival, req)))
   in
-  let run servers queue jobs no_cache json_out events window flight_dump =
+  let run no_cache service =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let t0 = Unix.gettimeofday () in
@@ -1220,51 +1248,35 @@ let serve_cmd =
               else Some (parse_line line))
             lines
         in
-        with_events_emitter events (fun emit ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let t =
-                  Service.Gcsafed.create ~pool ?events:emit ~window
-                    (service_config servers queue)
-                in
-                List.iter
-                  (function
-                    | Ok (arrival, req) ->
-                        Service.Gcsafed.submit ?arrival t req
-                    | Error _ -> ())
-                  items;
-                Service.Gcsafed.shutdown t;
-                (* one outcome line per input line, in input order *)
-                let completions = ref (Service.Gcsafed.completions t) in
-                List.iter
-                  (fun item ->
-                    let outcome =
-                      match item with
-                      | Error e -> Harness.Outcome.Source_error e
-                      | Ok _ -> (
-                          match !completions with
-                          | c :: rest ->
-                              completions := rest;
-                              c.Service.Gcsafed.r_outcome
-                          | [] ->
-                              Harness.Outcome.Internal "missing completion")
-                    in
-                    print_endline
-                      (Telemetry.Json.to_string
-                         (Harness.Outcome.to_json outcome)))
-                  items;
-                let report = Service.Gcsafed.report t in
-                Format.eprintf "%a@." Service.Gcsafed.pp_report report;
-                Option.iter
-                  (fun path ->
-                    write_report_json path t
-                      ~wall_s:(Unix.gettimeofday () -. t0))
-                  json_out;
-                write_flight_dump t ~flight_dump
-                  ~unexpected:report.Service.Gcsafed.rp_unexpected;
-                if report.Service.Gcsafed.rp_unexpected > 0 then
-                  exit
-                    (Harness.Diagnostics.exit_code
-                       Harness.Diagnostics.Internal_error))))
+        let submit t =
+          List.iter
+            (function
+              | Ok (arrival, req) -> Service.Gcsafed.submit ?arrival t req
+              | Error _ -> ())
+            items
+        in
+        let report t r =
+          (* one outcome line per input line, in input order *)
+          let completions = ref (Service.Gcsafed.completions t) in
+          List.iter
+            (fun item ->
+              let outcome =
+                match item with
+                | Error e -> Harness.Outcome.Source_error e
+                | Ok _ -> (
+                    match !completions with
+                    | c :: rest ->
+                        completions := rest;
+                        c.Service.Gcsafed.r_outcome
+                    | [] -> Harness.Outcome.Internal "missing completion")
+              in
+              print_endline
+                (Telemetry.Json.to_string (Harness.Outcome.to_json outcome)))
+            items;
+          Format.eprintf "%a@." Service.Gcsafed.pp_report r;
+          Unix.gettimeofday () -. t0
+        in
+        service ~submit ~report)
   in
   let doc =
     "run the service harness over a stream of JSON requests (one object per \
@@ -1274,9 +1286,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ servers_arg $ queue_arg $ jobs_arg $ no_cache_arg
-      $ report_json_arg $ events_arg $ window_arg $ flight_dump_arg)
+    Term.(const run $ no_cache_arg $ service_term)
 
 (* --- bomb -------------------------------------------------------------------- *)
 
@@ -1325,8 +1335,7 @@ let bomb_cmd =
           Service.Trafficgen.default_spec.Service.Trafficgen.g_chaos_percent
       & info [ "chaos" ] ~docv:"PCT" ~doc)
   in
-  let run requests mix seed interarrival chaos servers queue jobs no_cache
-      json_out events window flight_dump =
+  let run requests mix seed interarrival chaos no_cache service =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let spec =
@@ -1347,30 +1356,19 @@ let bomb_cmd =
           else stream
         in
         let t0 = Unix.gettimeofday () in
-        with_events_emitter events (fun emit ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let t =
-                  Service.Gcsafed.create ~pool ?events:emit ~window
-                    (service_config servers queue)
-                in
-                List.iter
-                  (fun (arrival, req) -> Service.Gcsafed.submit ~arrival t req)
-                  stream;
-                Service.Gcsafed.shutdown t;
-                let wall_s = Unix.gettimeofday () -. t0 in
-                let report = Service.Gcsafed.report t in
-                Format.printf "%a@." Service.Gcsafed.pp_report report;
-                Printf.eprintf "wall: %.2fs, %.1f requests/s\n" wall_s
-                  (if wall_s > 0. then float_of_int requests /. wall_s else 0.);
-                Option.iter
-                  (fun path -> write_report_json path t ~wall_s)
-                  json_out;
-                write_flight_dump t ~flight_dump
-                  ~unexpected:report.Service.Gcsafed.rp_unexpected;
-                if report.Service.Gcsafed.rp_unexpected > 0 then
-                  exit
-                    (Harness.Diagnostics.exit_code
-                       Harness.Diagnostics.Internal_error))))
+        let submit t =
+          List.iter
+            (fun (arrival, req) -> Service.Gcsafed.submit ~arrival t req)
+            stream
+        in
+        let report _ r =
+          let wall_s = Unix.gettimeofday () -. t0 in
+          Format.printf "%a@." Service.Gcsafed.pp_report r;
+          Printf.eprintf "wall: %.2fs, %.1f requests/s\n" wall_s
+            (if wall_s > 0. then float_of_int requests /. wall_s else 0.);
+          wall_s
+        in
+        service ~submit ~report)
   in
   let doc =
     "generate an open-loop request bombardment and report steady-state \
@@ -1381,8 +1379,7 @@ let bomb_cmd =
     (Cmd.info "bomb" ~doc)
     Term.(
       const run $ requests_arg $ mix_arg $ seed_arg $ interarrival_arg
-      $ chaos_arg $ servers_arg $ queue_arg $ jobs_arg $ no_cache_arg
-      $ report_json_arg $ events_arg $ window_arg $ flight_dump_arg)
+      $ chaos_arg $ no_cache_arg $ service_term)
 
 let () =
   let doc = "GC-safety preprocessor for C (Boehm, PLDI 1996)" in

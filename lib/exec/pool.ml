@@ -71,7 +71,7 @@ let create ?jobs () =
     t.domains <-
       List.init (p_jobs - 1) (fun i ->
           Domain.spawn (fun () ->
-              Telemetry.Trace.register_lane (Printf.sprintf "worker-%d" (i + 1));
+              Telemetry.Events.register_lane (Printf.sprintf "worker-%d" (i + 1));
               worker t));
   t
 
@@ -425,18 +425,24 @@ let map_supervised t ?(policy = default_policy) ?recorder f xs =
         (fun idx o ->
           match o with
           | Done { attempts; _ } when attempts > 1 ->
-              Telemetry.Flight_recorder.record r ~ts:idx "pool.retry"
-                [
-                  ("index", Telemetry.Json.Int idx);
-                  ("attempts", Telemetry.Json.Int attempts);
-                ]
+              ignore
+                (Telemetry.Events.emit r ~ts:idx
+                   ~args:
+                     [
+                       ("index", Telemetry.Json.Int idx);
+                       ("attempts", Telemetry.Json.Int attempts);
+                     ]
+                   Instant "pool.retry")
           | Quarantined { reason; attempts } ->
-              Telemetry.Flight_recorder.record r ~ts:idx "pool.quarantine"
-                [
-                  ("index", Telemetry.Json.Int idx);
-                  ("attempts", Telemetry.Json.Int attempts);
-                  ("reason", Telemetry.Json.Str reason);
-                ]
+              ignore
+                (Telemetry.Events.emit r ~ts:idx
+                   ~args:
+                     [
+                       ("index", Telemetry.Json.Int idx);
+                       ("attempts", Telemetry.Json.Int attempts);
+                       ("reason", Telemetry.Json.Str reason);
+                     ]
+                   Instant "pool.quarantine")
           | Done _ -> ())
         outcomes);
   (outcomes, stats)

@@ -99,7 +99,7 @@ type sup_stats = {
 val map_supervised :
   t ->
   ?policy:policy ->
-  ?recorder:Telemetry.Flight_recorder.t ->
+  ?recorder:Telemetry.Events.t ->
   (ctx -> 'a -> 'b) ->
   'a list ->
   'b outcome list * sup_stats

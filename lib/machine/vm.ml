@@ -135,9 +135,8 @@ let dispatch_class_names =
 
 type tele = {
   tl_on : bool;
-  tl_trace : Telemetry.Trace.t option;
+  tl_events : Telemetry.Events.t option;
   tl_prof : Telemetry.Heap_profiler.t option;
-  tl_rec : Telemetry.Flight_recorder.t option;
   tl_steps : Telemetry.Metrics.counter;
   tl_dispatch : Telemetry.Metrics.counter array;
       (** by dispatch class; both are flushed once per run from the
@@ -178,15 +177,13 @@ type tele = {
 let make_tele sink =
   let m = Telemetry.Sink.metrics sink in
   let m = Telemetry.Metrics.scope m "vm" in
-  let trace = match sink with Some s -> s.Telemetry.Sink.trace | None -> None in
   let prof =
     match sink with Some s -> s.Telemetry.Sink.profiler | None -> None
   in
   {
     tl_on = sink <> None;
-    tl_trace = trace;
+    tl_events = Telemetry.Sink.events sink;
     tl_prof = prof;
-    tl_rec = Telemetry.Sink.recorder sink;
     tl_steps = Telemetry.Metrics.counter m "steps";
     tl_dispatch =
       Array.map
@@ -531,29 +528,21 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* One event on the run's log, on the executed-instruction clock. *)
+let emit st ?args phase name =
+  match st.tele.tl_events with
+  | Some log -> ignore (Telemetry.Events.emit log ~ts:st.instrs ?args phase name)
+  | None -> ()
+
 let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   let tl = st.tele in
   let minor = generation = Gcheap.Heap.Minor in
   let gen_name = if minor then "minor" else "major" in
   let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
-  (match tl.tl_trace with
-  | Some tr ->
-      Telemetry.Trace.begin_span tr
-        ~args:
-          [
-            ("trigger", Telemetry.Json.Str trigger);
-            ("gen", Telemetry.Json.Str gen_name);
-          ]
-        "gc"
-  | None -> ());
-  (match tl.tl_rec with
-  | Some fr ->
-      Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.begin"
-        [
-          ("trigger", Telemetry.Json.Str trigger);
-          ("gen", Telemetry.Json.Str gen_name);
-        ]
-  | None -> ());
+  let gc_args =
+    [ ("trigger", Telemetry.Json.Str trigger); ("gen", Telemetry.Json.Str gen_name) ]
+  in
+  emit st ~args:gc_args Begin "gc";
   (match tl.tl_prof with
   | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
   | None -> ());
@@ -569,8 +558,8 @@ let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   in
   (* only the live prefix of the stack is scanned, as on a real machine *)
   let live_stack = (st.stack_base, st.stack_base + st.sp) in
-  (* the gc.end event must land even if the collection raises (heap
-     corruption under the sanitizer), so span nesting always balances *)
+  (* the span must close even if the collection raises (heap corruption
+     under the sanitizer), so span nesting always balances *)
   Fun.protect
     ~finally:(fun () ->
       (* deterministic pause measure on the words-of-work clock: words
@@ -583,15 +572,9 @@ let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
       in
       st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
       st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.end"
-            [
-              ("trigger", Telemetry.Json.Str trigger);
-              ("gen", Telemetry.Json.Str gen_name);
-              ("pause_words", Telemetry.Json.Int pause_words);
-            ]
-      | None -> ());
+      emit st
+        ~args:(gc_args @ [ ("pause_words", Telemetry.Json.Int pause_words) ])
+        End "gc";
       if st.cfg.vm_census then
         st.censuses <- Gcheap.Census.take st.heap :: st.censuses)
     (fun () ->
@@ -618,16 +601,15 @@ let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
     Metrics.add tl.tl_gc_bytes_freed (hs.Gcheap.Heap.bytes_freed - bytes0);
     let foot = Gcheap.Heap.footprint st.heap in
     Metrics.set tl.tl_heap_foot foot;
-    match tl.tl_trace with
-    | Some tr ->
-        Trace.end_span tr "gc";
-        Trace.counter tr "heap"
-          [
-            ("footprint", foot);
-            ( "live_bytes",
-              hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed );
-          ]
-    | None -> ()
+    emit st
+      ~args:
+        [
+          ("footprint", Json.Int foot);
+          ( "live_bytes",
+            Json.Int (hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed)
+          );
+        ]
+      Counter "heap"
   end;
   if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
 
@@ -695,14 +677,13 @@ let incremental_step st =
   (* each increment is a mutator pause of [spent] words of work *)
   st.gc_max_pause_words <- max st.gc_max_pause_words spent;
   st.gc_total_pause_words <- st.gc_total_pause_words + spent;
-  (match tl.tl_rec with
-  | Some fr ->
-      Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.step"
-        [
-          ("spent_words", Telemetry.Json.Int spent);
-          ("completed", Telemetry.Json.Int completed);
-        ]
-  | None -> ());
+  emit st
+    ~args:
+      [
+        ("spent_words", Telemetry.Json.Int spent);
+        ("completed", Telemetry.Json.Int completed);
+      ]
+    Instant "gc.step";
   if st.cfg.vm_census && completed > 0 then
     st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
   if tl.tl_on then begin
@@ -1173,10 +1154,7 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
     Some
       (fun () ->
         if st.tele.tl_on then Telemetry.Metrics.incr st.tele.tl_gc_emergency;
-        (match st.tele.tl_rec with
-        | Some fr ->
-            Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.emergency" []
-        | None -> ());
+        emit st Instant "gc.emergency";
         collect ~trigger:"emergency" st);
   (match Hashtbl.find_opt st.func_index "main" with
   | Some k ->
@@ -1200,17 +1178,12 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
         Telemetry.Heap_profiler.set_tick pr st.instrs;
         Telemetry.Heap_profiler.finish pr
     | None -> ());
-    (match tl.tl_trace with
-    | Some tr -> Telemetry.Trace.end_span tr "vm.run"
-    | None -> ());
+    emit st End "vm.run";
     Gcheap.Mem.release st.heap.Gcheap.Heap.mem
   in
-  (match tl.tl_trace with
-  | Some tr ->
-      Telemetry.Trace.begin_span tr
-        ~args:[ ("machine", Telemetry.Json.Str config.vm_machine.Machdesc.md_name) ]
-        "vm.run"
-  | None -> ());
+  emit st
+    ~args:[ ("machine", Telemetry.Json.Str config.vm_machine.Machdesc.md_name) ]
+    Begin "vm.run";
   Fun.protect ~finally @@ fun () ->
   let exit_code = ref 0 in
   (try
@@ -1228,38 +1201,17 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   | Exit_program code -> exit_code := code
   | Fault msg as e when tl.tl_on ->
       Telemetry.Metrics.incr tl.tl_faults;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "vm.fault"
-            [ ("msg", Telemetry.Json.Str msg) ]
-      | None -> ());
-      (match tl.tl_trace with
-      | Some tr ->
-          Telemetry.Trace.instant tr
-            ~args:[ ("msg", Telemetry.Json.Str msg) ]
-            "fault"
-      | None -> ());
+      emit st ~args:[ ("msg", Telemetry.Json.Str msg) ] Instant "vm.fault";
       raise e
   | Trap (kind, msg) as e when tl.tl_on ->
       Telemetry.Metrics.incr tl.tl_traps;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "vm.trap"
-            [
-              ("kind", Telemetry.Json.Str (trap_kind_name kind));
-              ("msg", Telemetry.Json.Str msg);
-            ]
-      | None -> ());
-      (match tl.tl_trace with
-      | Some tr ->
-          Telemetry.Trace.instant tr
-            ~args:
-              [
-                ("kind", Telemetry.Json.Str (trap_kind_name kind));
-                ("msg", Telemetry.Json.Str msg);
-              ]
-            "trap"
-      | None -> ());
+      emit st
+        ~args:
+          [
+            ("kind", Telemetry.Json.Str (trap_kind_name kind));
+            ("msg", Telemetry.Json.Str msg);
+          ]
+        Instant "vm.trap";
       raise e);
   if config.vm_final_collect then begin
     (* all frames are gone: only statics-reachable objects survive *)

@@ -36,7 +36,7 @@ type t = {
   cfg : config;
   pool : Exec.Pool.t;
   metrics : Metrics.t;
-  ring : Telemetry.Flight_recorder.t;
+  ring : Telemetry.Events.t;
   stream : Telemetry.Stream.t option;
   mutable pending : (int * Request.t) list;  (* reversed *)
   mutable completed : completion list;  (* reversed *)
@@ -61,7 +61,7 @@ let create ?(pool = Exec.Pool.serial) ?metrics ?recorder_capacity ?events
     cfg = { cfg with servers };
     pool;
     metrics;
-    ring = Telemetry.Flight_recorder.create ?capacity:recorder_capacity ();
+    ring = Telemetry.Events.create ?capacity:recorder_capacity ();
     stream;
     pending = [];
     completed = [];
@@ -77,7 +77,7 @@ let metrics t = t.metrics
 
 let recorder t = t.ring
 
-let dump t = Telemetry.Flight_recorder.dump t.ring
+let dump t = Telemetry.Events.to_dump t.ring
 
 let is_shut_down t = t.closed
 
@@ -90,19 +90,9 @@ let record_class t outcome =
    drain simulation), timestamped on the virtual clock, so the ring's
    contents — and the interleaved event lines on the stream — are
    byte-identical across worker counts. *)
-let record_ev t ~ts kind args =
-  Telemetry.Flight_recorder.record t.ring ~ts kind args;
-  match t.stream with
-  | None -> ()
-  | Some s ->
-      Telemetry.Stream.event s
-        {
-          Telemetry.Flight_recorder.fr_ordinal =
-            Telemetry.Flight_recorder.recorded t.ring - 1;
-          fr_ts = ts;
-          fr_kind = kind;
-          fr_args = args;
-        }
+let record_ev t ~ts ?(phase = Telemetry.Events.Instant) name args =
+  let ev = Telemetry.Events.emit t.ring ~ts ~args phase name in
+  Option.iter (fun s -> Telemetry.Stream.event s ev) t.stream
 
 let reject_completion req arrival detail =
   {
@@ -205,7 +195,7 @@ let drain t =
       Metrics.observe build_h job.j_build;
       Metrics.observe vm_h job.j_vm;
       Metrics.observe gc_pause_h job.j_gc_max_pause;
-      record_ev t ~ts:finish "request.end"
+      record_ev t ~ts:finish ~phase:End "request"
         [
           ("trace_id", Json.Int job.j_request.Request.trace_id);
           ("class", Json.Str (Outcome.class_name job.j_outcome));
@@ -260,7 +250,7 @@ let drain t =
           tick t "service/admitted";
           record_class t outcome;
           tick t (if hit then "service/cache/hits" else "service/cache/misses");
-          record_ev t ~ts:arrival "request.begin"
+          record_ev t ~ts:arrival ~phase:Begin "request"
             [
               ("trace_id", Json.Int req.Request.trace_id);
               ("cache_hit", Json.Bool hit);
@@ -561,11 +551,9 @@ let report_to_json ?wall_s t =
       ( "flight_recorder",
         Json.Obj
           [
-            ( "capacity",
-              Json.Int (Telemetry.Flight_recorder.capacity t.ring) );
-            ( "recorded",
-              Json.Int (Telemetry.Flight_recorder.recorded t.ring) );
-            ("dropped", Json.Int (Telemetry.Flight_recorder.dropped t.ring));
+            ("capacity", Json.Int (Telemetry.Events.capacity t.ring));
+            ("recorded", Json.Int (Telemetry.Events.recorded t.ring));
+            ("dropped", Json.Int (Telemetry.Events.dropped t.ring));
           ] );
       ( "traffic",
         Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) r.rp_labels) );

@@ -31,11 +31,12 @@
     {!Telemetry.Metrics.absorb}.  Rejected requests leave no trace in
     the service registry.
 
-    {b Observability.}  The service keeps a {!Telemetry.Flight_recorder}
-    ring of structured events ([request.begin]/[request.end], [reject],
-    [slo.violation], [gc.emergency]) timestamped on the virtual clock
-    and recorded only from serial sections, so dumps are byte-identical
-    across worker counts.  When [create ~events] is given, a
+    {b Observability.}  The service keeps a {!Telemetry.Events} ring of
+    structured events (the [request] span, [reject], [slo.violation],
+    [gc.emergency]) timestamped on the virtual clock and emitted only
+    from serial sections, so dumps are byte-identical across worker
+    counts.  Request spans interleave on the virtual clock, so the ring
+    is exported as a flight-recorder dump, not as a Chrome trace.  When [create ~events] is given, a
     {!Telemetry.Stream} interleaves those events with windowed metric
     snapshots (JSON lines) on the same virtual clock.  Every admitted
     request carries a trace id (stamped at {!submit} when the caller
@@ -80,19 +81,19 @@ val create :
 (** [pool] fans request execution out (default serial — reports do not
     depend on it); [metrics] is the service registry absorbing
     per-request telemetry (default a fresh enabled registry);
-    [recorder_capacity] sizes the flight-recorder ring (default
-    {!Telemetry.Flight_recorder.default_capacity}); [events], when
+    [recorder_capacity] sizes the event ring (default
+    {!Telemetry.Events.default_capacity}); [events], when
     given, receives the JSON-lines stream (event lines plus windowed
     metric snapshots every [window] virtual ticks, default
     {!Telemetry.Stream.default_window}). *)
 
 val metrics : t -> Telemetry.Metrics.t
 
-val recorder : t -> Telemetry.Flight_recorder.t
+val recorder : t -> Telemetry.Events.t
 
 val dump : t -> Telemetry.Json.t
-(** {!Telemetry.Flight_recorder.dump} of the service ring — validates
-    under {!Telemetry.Flight_recorder.check}. *)
+(** {!Telemetry.Events.to_dump} of the service ring — validates under
+    {!Telemetry.Events.check}. *)
 
 val submit : ?arrival:int -> t -> Harness.Request.t -> unit
 (** Enqueue a request arriving at virtual time [arrival] (default: the

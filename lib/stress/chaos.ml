@@ -199,8 +199,8 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
         | None -> None
         | Some dir ->
             mkdir_p dir;
-            let recorder = Telemetry.Flight_recorder.create () in
-            let sink = Telemetry.Sink.make ~recorder () in
+            let events = Telemetry.Events.create () in
+            let sink = Telemetry.Sink.make ~events () in
             ignore
               (observe ~telemetry:sink ~oom_policy ~alloc_failpoints:fp
                  ~max_instrs:budget ());
@@ -212,7 +212,7 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
                    !flight_seq)
             in
             incr flight_seq;
-            Telemetry.Flight_recorder.write_file recorder path;
+            Telemetry.Events.write_dump events path;
             Some path
       in
       let record ?flight ~kind ~points ~detail ~expected () =

@@ -89,7 +89,7 @@ type finding = {
       (** path of the captured Chrome trace ([p_trace_dir] set) *)
   f_flight : string option;
       (** path of the captured flight-recorder dump ([p_trace_dir] set);
-          validates under {!Telemetry.Flight_recorder.check} *)
+          validates under {!Telemetry.Events.check} *)
 }
 
 type report = {
@@ -147,18 +147,17 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
     incr runs;
     observe_raw ?gc_point_sink ~schedule subject
   in
-  (* Replay a finding's schedule under a tracer plus a flight recorder;
-     uncounted, like any other observe_raw, so capture never changes the
-     report. *)
+  (* Replay a finding's schedule under an event log, exported as both a
+     Chrome trace and a flight-recorder dump; uncounted, like any other
+     observe_raw, so capture never changes the report. *)
   let trace_seq = ref 0 in
   let capture_trace ~schedule s =
     match plan.p_trace_dir with
     | None -> (None, None)
     | Some dir ->
         mkdir_p dir;
-        let tr = Telemetry.Trace.create () in
-        let recorder = Telemetry.Flight_recorder.create () in
-        let sink = Telemetry.Sink.make ~trace:tr ~recorder () in
+        let events = Telemetry.Events.create () in
+        let sink = Telemetry.Sink.make ~events () in
         ignore (observe_raw ~telemetry:sink ~schedule s);
         let base =
           Printf.sprintf "%s-%s-%d"
@@ -168,9 +167,9 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
         in
         incr trace_seq;
         let trace_path = Filename.concat dir (base ^ ".trace.json") in
-        Telemetry.Trace.write_file tr trace_path;
+        Telemetry.Events.write_trace events trace_path;
         let flight_path = Filename.concat dir (base ^ ".flight.json") in
-        Telemetry.Flight_recorder.write_file recorder flight_path;
+        Telemetry.Events.write_dump events flight_path;
         (Some trace_path, Some flight_path)
   in
   (* Uninjected behaviour of every subject, and the per-machine baseline. *)

@@ -59,8 +59,7 @@ type finding = {
       (** captured Chrome trace of the failing schedule ([p_trace_dir]) *)
   f_flight : string option;
       (** captured flight-recorder dump of the failing schedule — its
-          last-N GC/VM events; validates under
-          {!Telemetry.Flight_recorder.check} *)
+          last-N GC/VM events; validates under {!Telemetry.Events.check} *)
 }
 
 type report = {

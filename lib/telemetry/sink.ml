@@ -1,28 +1,22 @@
 type t = {
   metrics : Metrics.t;
-  trace : Trace.t option;
+  events : Events.t option;
   profiler : Heap_profiler.t option;
-  recorder : Flight_recorder.t option;
 }
 
 let none : t option = None
 
-let make ?metrics ?trace ?profiler ?recorder () =
+let make ?metrics ?events ?profiler () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  { metrics; trace; profiler; recorder }
+  { metrics; events; profiler }
 
 let metrics = function Some s -> s.metrics | None -> Metrics.disabled
 
-let recorder = function Some s -> s.recorder | None -> None
+let events = function Some s -> s.events | None -> None
 
 let with_span sink ?args name f =
   match sink with
-  | Some { trace = Some tr; _ } -> Trace.with_span tr ?args name f
+  | Some { events = Some ev; _ } -> Events.with_span ev ?args name f
   | _ -> f ()
-
-let instant sink ?args name =
-  match sink with
-  | Some { trace = Some tr; _ } -> Trace.instant tr ?args name
-  | _ -> ()

@@ -1,39 +1,30 @@
 (** The telemetry sink: the bundle instrumented code receives.
 
-    A sink carries a metrics registry plus optional tracer and heap
-    profiler, so a single optional argument threads all three through
-    the VM, heap, and harness.  [none] is the canonical "telemetry
-    off" value: its registry is {!Metrics.disabled} and hot paths can
-    skip it with one match. *)
+    A sink carries a metrics registry plus an optional event log and
+    heap profiler, so a single optional argument threads all three
+    through the VM, heap, and harness.  [none] is the canonical
+    "telemetry off" value: its registry is {!Metrics.disabled} and hot
+    paths can skip it with one match. *)
 
 type t = {
   metrics : Metrics.t;
-  trace : Trace.t option;
+  events : Events.t option;
   profiler : Heap_profiler.t option;
-  recorder : Flight_recorder.t option;
 }
 
 val none : t option
 (** [None]; for readability at call sites. *)
 
 val make :
-  ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
-  ?profiler:Heap_profiler.t ->
-  ?recorder:Flight_recorder.t ->
-  unit ->
-  t
-(** Defaults: a fresh enabled registry, no tracer, no profiler, no
-    flight recorder. *)
+  ?metrics:Metrics.t -> ?events:Events.t -> ?profiler:Heap_profiler.t -> unit -> t
+(** Defaults: a fresh enabled registry, no event log, no profiler. *)
 
 val metrics : t option -> Metrics.t
 (** The sink's registry, or {!Metrics.disabled}. *)
 
-val recorder : t option -> Flight_recorder.t option
-(** The sink's flight recorder, if any. *)
+val events : t option -> Events.t option
+(** The sink's event log, if any. *)
 
 val with_span :
   t option -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** Span on the sink's tracer if any, else just the call. *)
-
-val instant : t option -> ?args:(string * Json.t) list -> string -> unit
+(** Span on the sink's event log if any, else just the call. *)

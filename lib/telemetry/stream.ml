@@ -114,6 +114,6 @@ let finish t ~now =
 let windows t = List.rev t.diffs
 
 let event t ev =
-  match Flight_recorder.event_to_json ev with
+  match Events.event_to_json ev with
   | Json.Obj fields -> t.emit (Json.Obj (("type", Json.Str "event") :: fields))
   | other -> t.emit other

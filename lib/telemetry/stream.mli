@@ -47,6 +47,6 @@ val windows : t -> Metrics.snapshot list
 (** The raw per-window snapshot diffs emitted so far, oldest first —
     folding {!Metrics.merge} over them equals the whole-run diff. *)
 
-val event : t -> Flight_recorder.event -> unit
-(** Emit a flight-recorder event as an interleaved
+val event : t -> Events.event -> unit
+(** Emit a logged event in its dump form as an interleaved
     [{"type":"event",...}] line on the same sink. *)

@@ -6,7 +6,7 @@
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
-module Flight = Telemetry.Flight_recorder
+module Events = Telemetry.Events
 module Stream = Telemetry.Stream
 module Request = Harness.Request
 module Gcsafed = Service.Gcsafed
@@ -19,27 +19,27 @@ let test_ring_wraparound =
     ~count:200
     QCheck.(pair (int_range 1 48) (int_range 0 200))
     (fun (capacity, n) ->
-      let r = Flight.create ~capacity () in
+      let r = Events.create ~capacity () in
       for i = 0 to n - 1 do
-        Flight.record r ~ts:(i * 3) "ev" [ ("i", Json.Int i) ]
+        ignore (Events.emit r ~ts:(i * 3) ~args:[ ("i", Json.Int i) ] Instant "ev")
       done;
-      let evs = Flight.events r in
+      let evs = Events.events r in
       let dropped = max 0 (n - capacity) in
-      Flight.recorded r = n
-      && Flight.dropped r = dropped
+      Events.recorded r = n
+      && Events.dropped r = dropped
       && List.length evs = min n capacity
-      && List.mapi (fun k e -> e.Flight.fr_ordinal = dropped + k) evs
+      && List.mapi (fun k e -> e.Events.ordinal = dropped + k) evs
          |> List.for_all Fun.id
-      && Flight.check (Flight.dump r) = Ok ())
+      && Events.check (Events.to_dump r) = Ok ())
 
 let test_dump_check_rejects_tampering () =
-  let r = Flight.create ~capacity:4 () in
+  let r = Events.create ~capacity:4 () in
   for i = 0 to 9 do
-    Flight.record r ~ts:i "ev" []
+    ignore (Events.emit r ~ts:i Instant "ev")
   done;
-  let doc = Flight.dump r in
-  Alcotest.(check bool) "is_dump" true (Flight.is_dump doc);
-  (match Flight.check doc with
+  let doc = Events.to_dump r in
+  Alcotest.(check bool) "is_dump" true (Events.document doc = Events.Dump);
+  (match Events.check doc with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("honest dump rejected: " ^ e));
   let tamper f =
@@ -84,7 +84,7 @@ let test_dump_check_rejects_tampering () =
   in
   List.iter
     (fun (what, doc) ->
-      match Flight.check doc with
+      match Events.check doc with
       | Ok () -> Alcotest.fail ("accepted: " ^ what)
       | Error _ -> ())
     bad
@@ -128,7 +128,7 @@ let test_dump_and_stream_jobs_identity () =
     stream4;
   (match Json.parse dump1 with
   | Ok doc -> (
-      match Flight.check doc with
+      match Events.check doc with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("service dump invalid: " ^ e))
   | Error e -> Alcotest.fail e);
@@ -194,19 +194,17 @@ let hazard_vm_events gc_mode =
     Harness.Build.compile ~options:(Request.build_options req)
       Harness.Build.Base src
   in
-  let recorder = Flight.create () in
+  let events = Events.create () in
   ignore
-    (Harness.Measure.exec
-       ~telemetry:(Telemetry.Sink.make ~recorder ())
-       req built);
+    (Harness.Measure.exec ~telemetry:(Telemetry.Sink.make ~events ()) req built);
   List.filter_map
     (fun e ->
-      if List.mem e.Flight.fr_kind vm_dump_kinds then
+      if List.mem (Events.kind e) vm_dump_kinds then
         Some
-          (Printf.sprintf "%s %d %s" e.Flight.fr_kind e.Flight.fr_ts
-             (Json.to_string (Json.Obj e.Flight.fr_args)))
+          (Printf.sprintf "%s %d %s" (Events.kind e) e.Events.ts
+             (Json.to_string (Json.Obj e.Events.args)))
       else None)
-    (Flight.events recorder)
+    (Events.events events)
 
 (* Identical in every mode: each forced collection is a full major
    cycle, and the tiny heap never starts an incremental one. *)
@@ -444,15 +442,15 @@ let flaky ctx i =
 
 let supervised_dump jobs =
   Exec.Pool.with_pool ~jobs (fun pool ->
-      let recorder = Flight.create () in
+      let recorder = Events.create () in
       let outcomes, _ =
         Exec.Pool.map_supervised pool ~recorder flaky (List.init 8 Fun.id)
       in
-      (outcomes, Flight.events recorder, Json.to_string (Flight.dump recorder)))
+      (outcomes, Events.events recorder, Json.to_string (Events.to_dump recorder)))
 
 let test_pool_recorder_events () =
   let outcomes, events, dump = supervised_dump 1 in
-  let kinds = List.map (fun e -> (e.Flight.fr_ts, e.Flight.fr_kind)) events in
+  let kinds = List.map (fun e -> (e.Events.ts, Events.kind e)) events in
   (* even indexes 0,2,4,6 retried; 3 quarantined *)
   Alcotest.(check (list (pair int string)))
     "retries and the quarantine, input-ordered"

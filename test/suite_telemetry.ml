@@ -6,7 +6,7 @@
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
-module Trace = Telemetry.Trace
+module Events = Telemetry.Events
 module Profiler = Telemetry.Heap_profiler
 module Sink = Telemetry.Sink
 
@@ -256,20 +256,20 @@ let test_percentile_nearest_rank =
 (* --- trace: well-formedness and the checker ---------------------------- *)
 
 let test_trace_valid () =
-  let tr = Trace.create () in
-  Trace.with_span tr "outer" (fun () ->
-      Trace.instant tr ~args:[ ("k", Json.Int 1) ] "tick";
-      Trace.with_span tr "inner" (fun () -> ());
-      Trace.counter tr "heap" [ ("live", 128) ]);
-  match Trace.check (Trace.to_json tr) with
+  let log = Events.create () in
+  Events.with_span log "outer" (fun () ->
+      ignore (Events.emit log ~args:[ ("k", Json.Int 1) ] Instant "tick");
+      Events.with_span log "inner" (fun () -> ());
+      ignore (Events.emit log ~args:[ ("live", Json.Int 128) ] Counter "heap"));
+  match Events.check (Events.to_trace log) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_trace_span_closed_on_raise () =
-  let tr = Trace.create () in
-  (try Trace.with_span tr "doomed" (fun () -> failwith "boom") with
+  let log = Events.create () in
+  (try Events.with_span log "doomed" (fun () -> failwith "boom") with
   | Failure _ -> ());
-  match Trace.check (Trace.to_json tr) with
+  match Events.check (Events.to_trace log) with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("span leaked on raise: " ^ e)
 
@@ -338,29 +338,33 @@ let test_checker_rejects () =
   in
   List.iter
     (fun (what, doc) ->
-      match Trace.check doc with
+      match Events.check doc with
       | Ok () -> Alcotest.fail ("accepted: " ^ what)
       | Error _ -> ())
     bad
 
 let test_parallel_trace_deterministic () =
-  (* same parallel workload traced twice: after normalization (zeroed
-     timestamps and lane ids, events sorted) the lists are equal even
+  (* same parallel workload traced twice: after normalization (clocks,
+     lane ids and ordinals erased, events sorted) the lists are equal even
      though wall-clock interleaving and task-to-worker assignment
      differ between runs *)
   let traced () =
-    let tr = Trace.create () in
+    let log = Events.create () in
     Exec.Pool.with_pool ~jobs:4 (fun pool ->
         ignore
           (Exec.Pool.map pool
              (fun i ->
-               Trace.with_span tr
+               Events.with_span log
                  ~args:[ ("task", Json.Int i) ]
                  (Printf.sprintf "task-%d" i)
-                 (fun () -> Trace.instant tr "work");
+                 (fun () -> ignore (Events.emit log Instant "work"));
                i)
              (List.init 12 Fun.id)));
-    Trace.normalize (Trace.events tr)
+    List.sort compare
+      (List.map
+         (fun e ->
+           (e.Events.name, e.Events.phase, Json.to_string (Json.Obj e.Events.args)))
+         (Events.events log))
   in
   let a = traced () and b = traced () in
   Alcotest.(check int) "same event count" (List.length a) (List.length b);
@@ -473,9 +477,9 @@ let test_traced_run_valid_and_unperturbed () =
     | Harness.Measure.Ran r -> r
     | o -> Alcotest.fail (Harness.Measure.describe o)
   in
-  let tr = Trace.create () in
+  let log = Events.create () in
   let profiler = Profiler.create () in
-  let sink = Sink.make ~trace:tr ~profiler () in
+  let sink = Sink.make ~events:log ~profiler () in
   let traced =
     match Harness.Measure.exec ~telemetry:sink req b with
     | Harness.Measure.Ran r -> r
@@ -487,7 +491,7 @@ let test_traced_run_valid_and_unperturbed () =
   Alcotest.(check string)
     "output identical" plain.Harness.Measure.o_output
     traced.Harness.Measure.o_output;
-  (match Trace.check (Trace.to_json tr) with
+  (match Events.check (Events.to_trace log) with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("trace invalid: " ^ e));
   let snap = Metrics.snapshot sink.Sink.metrics in
@@ -507,6 +511,46 @@ let test_traced_run_valid_and_unperturbed () =
       Alcotest.(check string) "stable site id" "main:malloc#0"
         s.Profiler.s_site
   | l -> Alcotest.fail (Printf.sprintf "expected 1 site, got %d" (List.length l))
+
+(* The failure paths under one event log exported both ways: a run the
+   access checker stops (the -O hazard build under a collection at every
+   safepoint) and a run that hits the step limit after collecting. *)
+let test_fault_and_trap_logged () =
+  let logged what req expect =
+    let src = req.Harness.Request.source in
+    let b =
+      Harness.Build.compile
+        ~options:(Harness.Request.build_options req)
+        req.Harness.Request.config src
+    in
+    let log = Events.create () in
+    (match Harness.Measure.exec ~telemetry:(Sink.make ~events:log ()) req b with
+    | Harness.Measure.Ran _ -> Alcotest.failf "%s: the run completed" what
+    | _ -> ());
+    List.iter
+      (fun doc ->
+        match Events.check doc with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: invalid document: %s" what e)
+      [ Events.to_trace log; Events.to_dump log ];
+    let count k =
+      List.length (List.filter (fun e -> Events.kind e = k) (Events.events log))
+    in
+    Alcotest.(check int) (what ^ ": " ^ expect ^ " logged once") 1 (count expect);
+    Alcotest.(check bool) (what ^ ": collected") true (count "gc.begin" > 0);
+    Alcotest.(check int)
+      (what ^ ": every gc span closed")
+      (count "gc.begin") (count "gc.end");
+    Alcotest.(check int) (what ^ ": vm.run closed") 1 (count "vm.run.end")
+  in
+  let hazard = (Option.get (Stress.Corpus.by_name "hazard")).Stress.Corpus.t_source in
+  logged "fault"
+    (Harness.Request.make ~config:Harness.Build.Base
+       ~schedule:(Machine.Schedule.Every 1) hazard)
+    "vm.fault";
+  logged "trap"
+    (Harness.Request.make ~gc_threshold:128 ~max_instrs:300 loopy_src)
+    "vm.trap"
 
 let test_site_ids_stable_across_analyses () =
   let sites analysis =
@@ -561,6 +605,8 @@ let suite =
       test_compile_telemetry_counters;
     Alcotest.test_case "traced run valid and unperturbed" `Quick
       test_traced_run_valid_and_unperturbed;
+    Alcotest.test_case "fault and trap runs logged once" `Quick
+      test_fault_and_trap_logged;
     Alcotest.test_case "site ids stable across analyses" `Quick
       test_site_ids_stable_across_analyses;
     Alcotest.test_case "percentile boundaries" `Quick
