@@ -94,14 +94,13 @@ type config = {
   vm_telemetry : Telemetry.Sink.t option;
       (** metrics (instrument scope ["vm/..."]: steps, dispatch by opcode
           class, GC pause/scan/free, alloc-size histogram, fault/trap
-          counts), span tracing ([vm.run] and per-collection [gc] spans,
-          fault/trap instants, heap counter track), and allocation-site
-          heap profiling (site ids [fn:callee#k], stable across
-          [--analysis] variants).  A sink's flight recorder receives
-          [gc.begin]/[gc.end] spans, [gc.step]/[gc.emergency] instants
-          and [vm.fault]/[vm.trap] instants, timestamped on the
-          executed-instruction clock.  [None] — the default — costs one
-          dead-branch test per instruction. *)
+          counts), an event log ([vm.run] and per-collection [gc]
+          spans, the [heap] counter, [gc.step]/[gc.emergency] and
+          [vm.fault]/[vm.trap] instants, timestamped on the
+          executed-instruction clock), and allocation-site heap
+          profiling (site ids [fn:callee#k], stable across [--analysis]
+          variants).  [None] — the default — costs one dead-branch test
+          per instruction. *)
   vm_census : bool;
       (** sample a {!Gcheap.Census} after every completed collection
           (incremental cycles included) into [r_census]; off by

@@ -36,9 +36,10 @@
     [gc.emergency]) timestamped on the virtual clock and emitted only
     from serial sections, so dumps are byte-identical across worker
     counts.  Request spans interleave on the virtual clock, so the ring
-    is exported as a flight-recorder dump, not as a Chrome trace.  When [create ~events] is given, a
-    {!Telemetry.Stream} interleaves those events with windowed metric
-    snapshots (JSON lines) on the same virtual clock.  Every admitted
+    is exported as a flight-recorder dump, not as a Chrome trace.  When
+    [create ~events] is given, a {!Telemetry.Stream} interleaves those
+    events with windowed metric snapshots (JSON lines) on the same
+    virtual clock.  Every admitted
     request carries a trace id (stamped at {!submit} when the caller
     left it 0) and its completion a per-phase latency breakdown:
     [r_queue_wait + r_build_ticks + r_vm_ticks = r_finish - r_arrival].

@@ -139,7 +139,9 @@ let trace_event ph name ~ts ~lane args =
   in
   (* instants scope to their thread so Perfetto draws them in-lane *)
   let scope = if ph = "i" then [ ("s", Json.Str "t") ] else [] in
-  let args = if ph = "E" && args = [] then [] else [ ("args", Json.Obj args) ] in
+  let args =
+    if ph = "E" && args = [] then [] else [ ("args", Json.Obj args) ]
+  in
   Json.Obj (base @ scope @ args)
 
 (* Spans nest per lane, so once a window has lost its front, a close
@@ -173,16 +175,16 @@ let to_trace t =
           [ ("name", Json.Str (lane_name lane)) ])
       lanes
   in
-  let ph = function Begin -> "B" | End -> "E" | Instant -> "i" | Counter -> "C" in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.List
-          (meta
-          @ List.map
-              (fun e -> trace_event (ph e.phase) e.name ~ts:e.wall_us ~lane:e.lane e.args)
-              evs) );
-    ]
+  let ph = function
+    | Begin -> "B"
+    | End -> "E"
+    | Instant -> "i"
+    | Counter -> "C"
+  in
+  let event e =
+    trace_event (ph e.phase) e.name ~ts:e.wall_us ~lane:e.lane e.args
+  in
+  Json.Obj [ ("traceEvents", Json.List (meta @ List.map event evs)) ]
 
 let write_json doc path =
   let oc = open_out path in
@@ -220,19 +222,30 @@ let list_field k doc =
   | Some _ -> Error (k ^ " is not an array")
   | None -> Error ("missing " ^ k)
 
+(* [step i ev] over the events in order, up to the first error. *)
+let each step evs =
+  let rec go i = function
+    | [] -> Ok ()
+    | ev :: rest ->
+        let* () = step i ev in
+        go (i + 1) rest
+  in
+  go 0 evs
+
+let at i r = Result.map_error (Printf.sprintf "event %d: %s" i) r
+
 (* Per lane, a stack of open span names. *)
 let check_trace doc =
   let* evs = list_field "traceEvents" doc in
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
   let step i ev =
-    let at r = Result.map_error (Printf.sprintf "event %d: %s" i) r in
-    let* name = at (str_field ev "name") in
-    let* ph = at (str_field ev "ph") in
-    let* _ = at (int_field ev "ts") in
-    let* _ = at (int_field ev "pid") in
-    let* tid = at (int_field ev "tid") in
+    let* name = at i (str_field ev "name") in
+    let* ph = at i (str_field ev "ph") in
+    let* _ = at i (int_field ev "ts") in
+    let* _ = at i (int_field ev "pid") in
+    let* tid = at i (int_field ev "tid") in
     let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
-    at
+    at i
       (match (ph, stack) with
       | "B", _ ->
           Hashtbl.replace stacks tid (name :: stack);
@@ -241,22 +254,18 @@ let check_trace doc =
           Hashtbl.replace stacks tid rest;
           Ok ()
       | "E", top :: _ ->
-          Error (Printf.sprintf "lane %d: E %S closes open span %S" tid name top)
+          Error
+            (Printf.sprintf "lane %d: E %S closes open span %S" tid name top)
       | "E", [] ->
           Error (Printf.sprintf "lane %d: E %S with no open span" tid name)
       | ("i" | "C" | "M"), _ -> Ok ()
       | _ -> Error (Printf.sprintf "bad phase %S" ph))
   in
-  let rec go i = function
-    | [] -> Ok ()
-    | ev :: rest ->
-        let* () = step i ev in
-        go (i + 1) rest
-  in
-  let* () = go 0 evs in
+  let* () = each step evs in
   match
     Hashtbl.fold
-      (fun tid stack acc -> match stack with [] -> acc | n :: _ -> (tid, n) :: acc)
+      (fun tid stack acc ->
+        match stack with [] -> acc | n :: _ -> (tid, n) :: acc)
       stacks []
   with
   | [] -> Ok ()
@@ -265,27 +274,20 @@ let check_trace doc =
 (* A dump's spans pair "<name>.begin" with "<name>.end" per name and
    trace_id argument, so per-request spans balance independently. *)
 let span_key kind args =
-  let role =
-    List.find_map
-      (fun (suffix, role) ->
-        if
-          String.length kind > String.length suffix
-          && String.ends_with ~suffix kind
-        then
-          Some
-            (role, String.sub kind 0 (String.length kind - String.length suffix))
-        else None)
-      [ (".begin", `Begin); (".end", `End) ]
+  let strip suffix =
+    let n = String.length kind - String.length suffix in
+    if n > 0 && String.ends_with ~suffix kind then Some (String.sub kind 0 n)
+    else None
   in
-  Option.map
-    (fun (role, name) ->
-      let tid =
-        match List.assoc_opt "trace_id" args with
-        | Some (Json.Int n) -> string_of_int n
-        | _ -> ""
-      in
-      (role, name ^ "#" ^ tid))
-    role
+  let key name =
+    match List.assoc_opt "trace_id" args with
+    | Some (Json.Int id) -> name ^ "#" ^ string_of_int id
+    | _ -> name ^ "#"
+  in
+  match (strip ".begin", strip ".end") with
+  | Some name, _ -> Some (`Begin, key name)
+  | None, Some name -> Some (`End, key name)
+  | None, None -> None
 
 let check_dump doc =
   let* fr =
@@ -317,14 +319,18 @@ let check_dump doc =
   in
   let opens : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let step i ev =
-    let at r = Result.map_error (Printf.sprintf "event %d: %s" i) r in
-    let* ordinal = at (int_field ev "ordinal") in
-    let* _ = at (int_field ev "ts") in
-    let* kind = at (str_field ev "kind") in
-    let args = match Json.member "args" ev with Some (Json.Obj a) -> a | _ -> [] in
+    let* ordinal = at i (int_field ev "ordinal") in
+    let* _ = at i (int_field ev "ts") in
+    let* kind = at i (str_field ev "kind") in
+    let args =
+      match Json.member "args" ev with Some (Json.Obj a) -> a | _ -> []
+    in
     let* () =
       if ordinal = dropped + i then Ok ()
-      else at (Error (Printf.sprintf "ordinal %d, expected %d" ordinal (dropped + i)))
+      else
+        at i
+          (Error
+             (Printf.sprintf "ordinal %d, expected %d" ordinal (dropped + i)))
     in
     let n key = Option.value ~default:0 (Hashtbl.find_opt opens key) in
     match span_key kind args with
@@ -338,20 +344,17 @@ let check_dump doc =
     | Some (`End, _) when dropped > 0 ->
         (* the matching begin may have been evicted *)
         Ok ()
-    | Some (`End, _) -> at (Error (Printf.sprintf "%S closes an unopened span" kind))
+    | Some (`End, _) ->
+        at i (Error (Printf.sprintf "%S closes an unopened span" kind))
   in
-  let rec go i = function
-    | [] -> Ok ()
-    | ev :: rest ->
-        let* () = step i ev in
-        go (i + 1) rest
-  in
-  let* () = go 0 evs in
+  let* () = each step evs in
   if dropped > 0 then Ok ()
   else
     match
-      List.sort compare
-        (Hashtbl.fold (fun key n acc -> if n <> 0 then (key, n) :: acc else acc) opens [])
+      Hashtbl.fold
+        (fun key n acc -> if n <> 0 then (key, n) :: acc else acc)
+        opens []
+      |> List.sort compare
     with
     | [] -> Ok ()
     | (key, n) :: _ -> Error (Printf.sprintf "span %S unbalanced (%+d)" key n)

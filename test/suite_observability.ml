@@ -2,7 +2,8 @@
    validation, worker-count determinism of service dumps and event
    streams, the windowed-stream merge law, heap-census invariants,
    per-request phase accounting, pause-budget response of the pause
-   metric, and supervised-pool anomaly events. *)
+   metric, supervised-pool anomaly events, and byte pins of the service
+   dump, the event stream and a VM dump. *)
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
@@ -179,7 +180,8 @@ let test_service_pins () =
 
 (* The collector and VM events of the unsafe -O hazard build under a
    collection at every safepoint, in each collector mode: kind, producer
-   timestamp and arguments, in order. *)
+   timestamp and arguments, in order.  Only these kinds are pinned; the
+   vm.run span and heap counters the same dump carries are left out. *)
 let vm_dump_kinds =
   [ "gc.begin"; "gc.end"; "gc.step"; "gc.emergency"; "vm.fault"; "vm.trap" ]
 

@@ -1,8 +1,9 @@
 (* Telemetry-subsystem tests: metrics registry snapshot/diff laws, JSON
    roundtrips, Chrome-trace well-formedness and nesting balance, parallel
    trace determinism after lane normalization, heap-profiler drag
-   accounting, session-scoped cache counters, and the end-to-end contract
-   that instrumentation never perturbs execution. *)
+   accounting, session-scoped cache counters, the end-to-end contract
+   that instrumentation never perturbs execution, and the event log of
+   faulting and trapping runs. *)
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
@@ -272,6 +273,27 @@ let test_trace_span_closed_on_raise () =
   match Events.check (Events.to_trace log) with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("span leaked on raise: " ^ e)
+
+(* A ring that evicted the opens of still-open spans exports their
+   closes nowhere, so the trace still nests; the dump keeps them. *)
+let test_wrapped_ring_trace_nests () =
+  let log = Events.create ~capacity:5 () in
+  Events.with_span log "outer" (fun () ->
+      for i = 1 to 4 do
+        Events.with_span log ~args:[ ("i", Json.Int i) ] "inner" (fun () -> ())
+      done);
+  Alcotest.(check int) "evicted" 5 (Events.dropped log);
+  List.iter
+    (fun doc ->
+      match Events.check doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ Events.to_trace log; Events.to_dump log ];
+  match Json.member "traceEvents" (Events.to_trace log) with
+  | Some (Json.List evs) ->
+      (* thread_name, then B/E of inner 3 and 4; the outer close is gone *)
+      Alcotest.(check int) "trace events" 5 (List.length evs)
+  | _ -> Alcotest.fail "no traceEvents"
 
 let test_checker_rejects () =
   let bad =
@@ -594,6 +616,8 @@ let suite =
     Alcotest.test_case "span closed on raise" `Quick
       test_trace_span_closed_on_raise;
     Alcotest.test_case "checker rejects" `Quick test_checker_rejects;
+    Alcotest.test_case "wrapped ring trace nests" `Quick
+      test_wrapped_ring_trace_nests;
     Alcotest.test_case "parallel trace deterministic" `Quick
       test_parallel_trace_deterministic;
     Alcotest.test_case "profiler drag" `Quick test_profiler_drag;
